@@ -10,7 +10,7 @@
 //	        [-metrics-flush 5s] [-listen addr] [-listen-hold 30s]
 //	        [-cpuprofile f] [-memprofile f]
 //	        [-execute] [-journal f] [-copy-rate MiBps] [-queue-share S]
-//	        [-scratch-mb N] [-retries N]
+//	        [-scratch-mb N]
 //
 // With -listen the advisor serves its live metrics over HTTP while it runs:
 // /metrics (Prometheus text), /metrics.json, /series (windowed time-series
@@ -45,16 +45,11 @@
 // capacity-safe order, cycles are broken through a scratch reservation
 // (-scratch-mb, 0 = auto-sized), and the copy stream can be throttled
 // (-copy-rate in MiB/s, -queue-share). -journal names a write-ahead journal
-// file; re-running with an existing journal resumes an interrupted
-// migration instead of restarting it. Built-in device types only: "@file"
-// cost models carry no simulator configuration.
-//
-// -retries N lets -execute recover from migration aborts the way the
-// autonomic controller does: when the migration aborts on failed targets (or
-// the journal being resumed already records such an abort), the advisor
-// re-plans a failure-aware repair evacuating the failed targets and executes
-// it, up to N extra attempts. The journal is restarted for each attempt (an
-// aborted journal is terminal). Exhausting the budget exits 9.
+// file in the migration engine's grammar; re-running with an existing
+// journal resumes an interrupted migration from its checkpoint instead of
+// restarting it, and a journal that records completion appends nothing.
+// Built-in device types only: "@file" cost models carry no simulator
+// configuration.
 //
 // Exit codes distinguish failure classes so scripts can react:
 //
@@ -64,16 +59,13 @@
 //	3  solve budget exhausted before any usable layout was produced
 //	4  cost-model failure prevented a recommendation
 //	5  interrupted (SIGINT/SIGTERM before a layout was available)
-//	6  migration aborted on a device fault (-execute; journal holds the
-//	   consistent state, replan with the repair advisor or re-run with
-//	   -retries)
+//	6  migration aborted on a device fault (-execute; the engine journal
+//	   holds the consistent state, replan with the repair advisor)
 //	7  migration deadlocked with insufficient scratch space (-execute;
 //	   raise -scratch-mb)
-//	8  write-ahead journal corrupt (a resumed -journal file, or a
-//	   controller journal, failed CRC or grammar validation; the journal
+//	8  engine journal corrupt (the resumed -journal file failed CRC or
+//	   grammar validation, or was written for a different migration; it
 //	   must not be trusted or appended to)
-//	9  retry budget exhausted (-execute -retries; every attempt ended in
-//	   an abort or a repair-solve failure)
 package main
 
 import (
@@ -90,13 +82,13 @@ import (
 	"time"
 
 	"dblayout"
-	"dblayout/internal/control"
 	"dblayout/internal/costmodel"
 	"dblayout/internal/layout"
 	"dblayout/internal/migrate"
 	"dblayout/internal/obs"
 	"dblayout/internal/replay"
 	"dblayout/internal/storage"
+	"dblayout/internal/wal"
 )
 
 type problemFile struct {
@@ -179,7 +171,6 @@ func run() error {
 	copyRate := flag.Float64("copy-rate", 0, "migration copy throttle in MiB/s for -execute (0 = unthrottled)")
 	queueShare := flag.Float64("queue-share", 0.5, "max share of a device queue the migration copy stream may occupy (1 disables yielding)")
 	scratchMB := flag.Int64("scratch-mb", 0, "scratch reservation for breaking migration capacity deadlocks (0 = auto-sized)")
-	retries := flag.Int("retries", 0, "extra repair attempts after a migration abort for -execute (0 = fail immediately)")
 	var cli obs.CLI
 	cli.Register(flag.CommandLine)
 	flag.Parse()
@@ -293,8 +284,6 @@ func run() error {
 			copyRate:    *copyRate,
 			queueShare:  *queueShare,
 			scratchMB:   *scratchMB,
-			retries:     *retries,
-			seed:        *seed,
 			metrics:     sess.Registry,
 		})
 	}
@@ -306,8 +295,6 @@ type executeOptions struct {
 	copyRate    float64
 	queueShare  float64
 	scratchMB   int64
-	retries     int
-	seed        int64
 	metrics     *obs.Registry
 }
 
@@ -378,139 +365,47 @@ func executeMigration(pf *problemFile, p dblayout.Problem, target *dblayout.Layo
 	}
 
 	var journal io.Writer
-	var jf *os.File
 	var resume []byte
 	if opt.journalPath != "" {
-		data, err := os.ReadFile(opt.journalPath)
-		if err != nil && !os.IsNotExist(err) {
-			return err
-		}
-		resume = migrate.TruncateTorn(data)
-		if len(resume) < len(data) {
-			// Drop a torn final line before appending to the file.
-			if err := os.Truncate(opt.journalPath, int64(len(resume))); err != nil {
-				return err
-			}
-		}
-		jf, err = os.OpenFile(opt.journalPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		data, f, err := wal.OpenAppend(opt.journalPath)
 		if err != nil {
 			return err
 		}
-		defer jf.Close()
-		journal = jf
+		defer f.Close()
+		journal, resume = f, data
 		if len(resume) > 0 {
 			fmt.Fprintf(os.Stderr, "advisor: resuming migration from journal %s\n", opt.journalPath)
 		}
 	}
 
-	// The attempt loop mirrors the autonomic controller's retry policy: an
-	// abort folds the journal's consistent state (base plus committed steps)
-	// into the next attempt, which evacuates the failed targets through the
-	// failure-aware repair advisor. An aborted journal is terminal, so each
-	// repair attempt restarts the journal file.
-	cur, tgt := current, target
-	var failed []int
-	for attempt := 1; ; attempt++ {
-		scratchCaps := caps
-		if len(failed) > 0 {
-			scratchCaps = append([]int64(nil), caps...)
-			for _, j := range failed {
-				if j >= 0 && j < len(scratchCaps) {
-					scratchCaps[j] = 0
-				}
-			}
-		}
-		scratch := migrate.AutoScratch(cur, tgt, sizes, scratchCaps)
-		if opt.scratchMB > 0 {
-			scratch.Bytes = opt.scratchMB << 20
-		}
-		// Neither an aborted mid-migration layout nor its repair needs to
-		// be regular, and the LVM mapper only implements regular layouts;
-		// the run is idle, so any regular stand-in validates.
-		mapper := cur
-		if !mapper.IsRegular() {
-			mapper = layout.SEE(len(p.Objects), len(caps))
-		}
-
-		res, err := migrate.Execute(sys, cur, tgt, nil, replay.Options{Seed: 1, Metrics: opt.metrics}, migrate.Options{
-			BytesPerSec:   opt.copyRate * (1 << 20),
-			MaxQueueShare: opt.queueShare,
-			Scratch:       scratch,
-			Journal:       journal,
-			Resume:        resume,
-			FailedSources: failed,
-			MapperLayout:  mapper,
-			Metrics:       opt.metrics,
-		})
-		if err == nil {
-			reportMigration(pf, opt, res, scratch, attempt)
-			return nil
-		}
-		if !errors.Is(err, migrate.ErrMigrationAborted) || opt.retries <= 0 {
-			return fmt.Errorf("executing migration: %w", err)
-		}
-		if attempt > opt.retries {
-			return &control.RetryError{Attempts: attempt, Cause: err, Reason: "abort"}
-		}
-
-		// Fold the abort's consistent state into the next attempt.
-		if res != nil && res.Migration != nil && res.Migration.Aborted {
-			cur = res.Migration.Layout.Clone()
-			failed = mergeFailed(failed, res.Migration.FailedTargets)
-		} else {
-			// The resumed journal already recorded the abort; recover its
-			// state directly.
-			records, derr := migrate.DecodeJournal(resume)
-			if derr != nil {
-				return derr
-			}
-			ck, rerr := migrate.Recover(records)
-			if rerr != nil {
-				return rerr
-			}
-			cur = cur.Clone()
-			ck.ApplyCommitted(cur)
-			failed = mergeFailed(failed, ck.Failed)
-		}
-		fmt.Fprintf(os.Stderr, "advisor: migration aborted, targets %v failed; replanning repair (attempt %d of %d)\n",
-			failed, attempt+1, opt.retries+1)
-
-		rep, rerr := dblayout.RecommendRepair(context.Background(), p, cur, failed, dblayout.Options{Seed: opt.seed})
-		if rerr != nil {
-			return &control.RetryError{Attempts: attempt, Cause: rerr, Reason: "advise"}
-		}
-		tgt = rep.Layout
-		resume = nil
-		if jf != nil {
-			// The terminal journal cannot be appended to; start a fresh one
-			// for the repair (O_APPEND writes land at the new end).
-			if err := jf.Truncate(0); err != nil {
-				return err
-			}
-		}
+	scratch := migrate.AutoScratch(current, target, sizes, caps)
+	if opt.scratchMB > 0 {
+		scratch.Bytes = opt.scratchMB << 20
 	}
-}
-
-// mergeFailed merges failed-target sets, preserving order of first sighting.
-func mergeFailed(a, b []int) []int {
-	out := append([]int(nil), a...)
-	for _, x := range b {
-		seen := false
-		for _, y := range out {
-			if x == y {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			out = append(out, x)
-		}
+	// The LVM mapper only implements regular layouts; the run is idle, so
+	// any regular stand-in validates when "current" is not regular.
+	mapper := current
+	if !mapper.IsRegular() {
+		mapper = layout.SEE(len(p.Objects), len(caps))
 	}
-	return out
+	res, err := migrate.Execute(sys, current, target, nil, replay.Options{Seed: 1, Metrics: opt.metrics}, migrate.Options{
+		BytesPerSec:   opt.copyRate * (1 << 20),
+		MaxQueueShare: opt.queueShare,
+		Scratch:       scratch,
+		Journal:       journal,
+		Resume:        resume,
+		MapperLayout:  mapper,
+		Metrics:       opt.metrics,
+	})
+	if err != nil {
+		return fmt.Errorf("executing migration: %w", err)
+	}
+	reportMigration(pf, opt, res, scratch)
+	return nil
 }
 
 // reportMigration prints the -execute summary.
-func reportMigration(pf *problemFile, opt executeOptions, res *migrate.ExecuteResult, scratch migrate.ScratchSpec, attempt int) {
+func reportMigration(pf *problemFile, opt executeOptions, res *migrate.ExecuteResult, scratch migrate.ScratchSpec) {
 	m := res.Migration
 	staged := 0
 	for _, s := range res.Script {
@@ -520,9 +415,6 @@ func reportMigration(pf *problemFile, opt executeOptions, res *migrate.ExecuteRe
 	}
 	fmt.Printf("\nonline migration: %d moves (%d staged through %s scratch), %.1f MiB copied\n",
 		len(res.Plan), staged, pf.Targets[scratch.Target].Name, float64(m.CommittedBytes)/(1<<20))
-	if attempt > 1 {
-		fmt.Printf("completed on attempt %d after evacuating failed targets\n", attempt)
-	}
 	if m.Elapsed > 0 {
 		fmt.Printf("simulated duration %.2fs (%.1f MiB/s effective)\n",
 			m.Elapsed, float64(m.CommittedBytes)/(1<<20)/m.Elapsed)
@@ -565,10 +457,8 @@ func exitCode(err error) int {
 		return 6
 	case errors.Is(err, migrate.ErrScratchExhausted):
 		return 7
-	case errors.Is(err, migrate.ErrJournalCorrupt), errors.Is(err, control.ErrControllerCorrupt):
+	case errors.Is(err, migrate.ErrJournalCorrupt):
 		return 8
-	case errors.Is(err, control.ErrRetriesExhausted):
-		return 9
 	}
 	return 1
 }
@@ -596,9 +486,6 @@ func main() {
 			os.Exit(code)
 		case 8:
 			fmt.Fprintln(os.Stderr, "advisor: journal corrupt:", err)
-			os.Exit(code)
-		case 9:
-			fmt.Fprintln(os.Stderr, "advisor: retry budget exhausted:", err)
 			os.Exit(code)
 		default:
 			fmt.Fprintln(os.Stderr, "advisor:", err)

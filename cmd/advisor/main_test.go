@@ -7,13 +7,11 @@ import (
 	"testing"
 
 	"dblayout"
-	"dblayout/internal/control"
 	"dblayout/internal/migrate"
 )
 
 // TestExitCodes pins the documented exit-code table: every failure class maps
-// to its own code, wrapped or not, and the retry-exhausted wrapper does not
-// leak its cause's class.
+// to its own code, wrapped or not.
 func TestExitCodes(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -29,33 +27,10 @@ func TestExitCodes(t *testing.T) {
 		{fmt.Errorf("executing migration: %w", migrate.ErrScratchExhausted), 7},
 		{&migrate.CorruptError{Record: 3, Reason: "bad frame"}, 8},
 		{fmt.Errorf("resuming: %w", migrate.ErrJournalCorrupt), 8},
-		{&control.CorruptError{Record: 1, Reason: "impossible epoch"}, 8},
-		{control.ErrControllerCorrupt, 8},
-		{&control.RetryError{Attempts: 3, Cause: &migrate.AbortError{}, Reason: "abort"}, 9},
-		{control.ErrRetriesExhausted, 9},
 	}
 	for _, tc := range cases {
 		if got := exitCode(tc.err); got != tc.want {
 			t.Errorf("exitCode(%v) = %d, want %d", tc.err, got, tc.want)
-		}
-	}
-	// A retry chain that died on an abort is reported as exhaustion (9),
-	// never as the abort (6) the caller was told would be retried.
-	rerr := &control.RetryError{Attempts: 2, Cause: migrate.ErrMigrationAborted, Reason: "abort"}
-	if errors.Is(rerr, migrate.ErrMigrationAborted) {
-		t.Error("RetryError must not unwrap to its cause")
-	}
-}
-
-func TestMergeFailed(t *testing.T) {
-	got := mergeFailed([]int{2, 0}, []int{0, 3, 2, 1})
-	want := []int{2, 0, 3, 1}
-	if len(got) != len(want) {
-		t.Fatalf("mergeFailed = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("mergeFailed = %v, want %v", got, want)
 		}
 	}
 }

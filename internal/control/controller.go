@@ -192,15 +192,13 @@ type Status struct {
 // simulation event loop (as they do under replay and in the chaos harness).
 type Controller struct {
 	cfg Config
-	jw  *journalWriter
+	j   *Journal // the epoch journal owner: every controller record goes through it
 
 	utilDet    *obs.Detector
 	overlapDet *obs.Detector
 
 	current *layout.Layout
-	epoch   int
 	attempt int // attempt number the next try carries (1 = fresh episode)
-	failed  []int
 
 	phase    Phase
 	cooldown int
@@ -238,7 +236,6 @@ func New(cfg Config) (*Controller, error) {
 	}
 	c := &Controller{
 		cfg:     cfg,
-		jw:      &journalWriter{w: cfg.Journal},
 		attempt: 1,
 		phase:   PhaseObserving,
 	}
@@ -275,13 +272,11 @@ func New(cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("control: starting layout: %w", err)
 	}
 	c.current = cfg.Current.Clone()
-	rows := make([][]float64, c.current.N)
-	for i := range rows {
-		rows[i] = c.current.Row(i)
-	}
-	if !c.journal(Record{T: recBegin, N: c.current.N, M: c.current.M, Rows: rows, Seed: cfg.Seed}) {
+	j, err := Begin(cfg.Journal, c.current, cfg.Seed)
+	if !c.journaled(err) {
 		return nil, c.err
 	}
+	c.j = j
 	c.setPhase(PhaseObserving)
 	return c, nil
 }
@@ -289,7 +284,7 @@ func New(cfg Config) (*Controller, error) {
 // resume reconstructs controller state from a prior journal and restarts any
 // in-flight migration epoch.
 func (c *Controller) resume(data []byte) error {
-	ck, err := Recover(data)
+	j, ck, err := Reopen(c.cfg.Journal, data)
 	if err != nil {
 		return err
 	}
@@ -300,31 +295,21 @@ func (c *Controller) resume(data []byte) error {
 	if ck.Seed != c.cfg.Seed {
 		return fmt.Errorf("control: journal seed %d does not match config seed %d", ck.Seed, c.cfg.Seed)
 	}
+	c.j = j
 	c.current = ck.Current
-	c.epoch = ck.Epoch
 	c.attempt = ck.Attempt
-	c.failed = ck.Failed
-	c.act(Action{Kind: "resume", Time: c.cfg.IO.Now(), Epoch: c.epoch, Attempt: c.attempt})
+	c.act(Action{Kind: "resume", Time: c.cfg.IO.Now(), Epoch: j.Epoch(), Attempt: c.attempt})
 
-	if open := ck.Open; open != nil {
-		mck := open.Checkpoint
-		switch {
-		case mck != nil && mck.Done:
-			// The engine finished but the crash beat the outcome record.
-			mck.ApplyCommitted(c.current)
-			c.finishDone(open.Plan.Epoch)
-		case mck != nil && mck.Aborted:
-			// Likewise for an abort: close the epoch and decide the retry
-			// now; both are deterministic, so this is exactly-once.
-			mck.ApplyCommitted(c.current)
-			c.finishAborted(open.Plan.Epoch, mck.Failed,
-				fmt.Errorf("resumed after abort, targets %v failed", mck.Failed))
-		default:
-			// Mid-flight (or crashed before the engine journaled its plan
-			// record): restart the engine from the checkpoint.
-			if err := c.startEngine(open.Plan, mck); err != nil {
-				return fmt.Errorf("control: resuming epoch %d: %w", open.Plan.Epoch, err)
-			}
+	if ck.Open != nil {
+		// The owner either reports an outcome the crash swallowed to
+		// onMigrationDone (which closes the epoch and decides the retry,
+		// both deterministic, so exactly-once) or restarts the engine.
+		eng, err := j.Resume(ck, c.cfg.IO, c.engineOptions(), c.onMigrationDone)
+		if err != nil {
+			return err
+		}
+		if eng != nil {
+			c.run(eng)
 		}
 		return c.err
 	}
@@ -461,7 +446,7 @@ func (c *Controller) instanceFor(fit rubicon.WindowFit) *layout.Instance {
 // the advisor absorbs soft ones.
 func (c *Controller) readvise(fit rubicon.WindowFit, reason string) error {
 	attempt := c.attempt
-	epoch := c.epoch + 1
+	epoch := c.j.Epoch() + 1
 	target, gain, repair, err := c.advise(fit, epoch, attempt)
 	if err != nil {
 		return c.retryFailure(fit, "advise", err)
@@ -481,9 +466,9 @@ func (c *Controller) readvise(fit rubicon.WindowFit, reason string) error {
 	// evacuation the failed device has the most free space of all, and
 	// AutoScratch must never stage data onto it.
 	scratchCaps := caps
-	if len(c.failed) > 0 {
+	if failed := c.j.Failed(); len(failed) > 0 {
 		scratchCaps = append([]int64(nil), caps...)
-		for _, j := range c.failed {
+		for _, j := range failed {
 			if j >= 0 && j < len(scratchCaps) {
 				scratchCaps[j] = 0
 			}
@@ -513,17 +498,12 @@ func (c *Controller) readvise(fit rubicon.WindowFit, reason string) error {
 		}
 	}
 
-	rec := Record{
-		T: recPlan, Epoch: epoch, Attempt: attempt,
-		Steps: steps, Scratch: &scratch, Reason: reason, Gain: gain,
-		Sources: append([]int(nil), c.failed...),
-	}
-	if !c.journal(rec) {
+	if !c.journaled(c.j.Plan(Record{Attempt: attempt, Steps: steps, Scratch: &scratch, Reason: reason, Gain: gain})) {
 		return c.err
 	}
-	c.epoch = epoch
 	c.mEpoch.Set(float64(epoch))
-	if err := c.startEngine(rec, nil); err != nil {
+	eng, err := c.j.Engine(c.cfg.IO, c.current, nil, c.engineOptions(), c.onMigrationDone)
+	if err != nil {
 		// The script validated in BuildScript, so this is unexpected —
 		// but feeding it the retry policy keeps the loop alive. The
 		// opened epoch closes as aborted with no engine records is not
@@ -533,6 +513,7 @@ func (c *Controller) readvise(fit rubicon.WindowFit, reason string) error {
 		c.setPhase(PhaseCrashed)
 		return c.err
 	}
+	c.run(eng)
 	c.act(Action{Kind: "migrate-start", Window: fit.Window, Time: fit.End,
 		Epoch: epoch, Attempt: attempt, Signal: reason, Gain: gain,
 		Detail: fmt.Sprintf("%d steps, %d bytes", len(steps), migrate.ScriptBytes(steps))})
@@ -553,8 +534,9 @@ func (c *Controller) advise(fit rubicon.WindowFit, epoch, attempt int) (target *
 
 	uCur, uErr := c.predictedUtil(fit)
 
+	failed := c.j.Failed()
 	if c.placesOnFailed() {
-		rep, rerr := core.RecommendRepair(context.Background(), inst, c.current, c.failed, opt)
+		rep, rerr := core.RecommendRepair(context.Background(), inst, c.current, failed, opt)
 		if rerr != nil {
 			return nil, 0, false, rerr
 		}
@@ -564,8 +546,8 @@ func (c *Controller) advise(fit rubicon.WindowFit, epoch, attempt int) (target *
 		return rep.Layout, gain, true, nil
 	}
 
-	if len(c.failed) > 0 {
-		inst, err = denyFailed(inst, c.failed)
+	if len(failed) > 0 {
+		inst, err = denyFailed(inst, failed)
 		if err != nil {
 			return nil, 0, false, err
 		}
@@ -587,7 +569,7 @@ func (c *Controller) advise(fit rubicon.WindowFit, epoch, attempt int) (target *
 // placesOnFailed reports whether the current layout still stores bytes on a
 // failed target — the condition that switches re-advising into repair mode.
 func (c *Controller) placesOnFailed() bool {
-	for _, j := range c.failed {
+	for _, j := range c.j.Failed() {
 		for i := 0; i < c.current.N; i++ {
 			if c.current.At(i, j) > layout.Epsilon {
 				return true
@@ -622,34 +604,26 @@ func denyFailed(inst *layout.Instance, failed []int) (*layout.Instance, error) {
 	return &out, nil
 }
 
-// startEngine constructs and starts the migration engine for an epoch, fresh
-// (ck nil — the engine journals its own plan record) or resumed from a
-// recovered checkpoint.
-func (c *Controller) startEngine(plan Record, ck *migrate.Checkpoint) error {
+// engineOptions returns the engine options the journal owner completes per
+// epoch: the configured copy tuning plus the controller's metrics.
+func (c *Controller) engineOptions() migrate.Options {
 	opt := c.cfg.Migration
-	opt.Journal = c.cfg.Journal
-	opt.Checkpoint = ck
-	if plan.Scratch != nil {
-		opt.Scratch = *plan.Scratch
-	}
-	opt.FailedSources = append([]int(nil), c.failed...)
 	opt.Metrics = c.cfg.Metrics
-	epoch := plan.Epoch
-	eng, err := migrate.NewEngine(c.cfg.IO, c.current, plan.Steps, opt, func(res *migrate.Result) {
-		c.onMigrationDone(epoch, res)
-	})
-	if err != nil {
-		return err
-	}
+	return opt
+}
+
+// run starts an epoch's engine; it may finish synchronously on resume.
+func (c *Controller) run(eng *migrate.Engine) {
 	c.engine = eng
 	c.setPhase(PhaseMigrating)
 	eng.Start()
-	return nil
 }
 
 // onMigrationDone is the engine's completion callback, running on the
-// simulation event loop.
-func (c *Controller) onMigrationDone(epoch int, res *migrate.Result) {
+// simulation event loop (or inside Journal.Resume for an outcome a crash
+// swallowed). It closes the epoch: a done one enters cooldown with a fresh
+// attempt counter, an aborted one feeds the retry policy.
+func (c *Controller) onMigrationDone(res *migrate.Result) {
 	c.engine = nil
 	if res.Crashed {
 		c.err = res.Err
@@ -657,34 +631,19 @@ func (c *Controller) onMigrationDone(epoch int, res *migrate.Result) {
 		return
 	}
 	c.current = res.Layout.Clone()
+	if !c.journaled(c.j.Outcome(res, c.cfg.CooldownWindows)) {
+		return
+	}
 	if res.Done {
-		c.finishDone(epoch)
+		c.attempt = 1
+		c.cooldown = c.cfg.CooldownWindows
+		c.act(Action{Kind: "migrate-done", Time: c.cfg.IO.Now(), Epoch: c.j.Epoch()})
+		c.setPhase(PhaseCooldown)
 		return
 	}
-	c.finishAborted(epoch, res.FailedTargets, res.Err)
-}
-
-// finishDone closes a successful epoch: outcome record, cooldown, fresh
-// attempt counter.
-func (c *Controller) finishDone(epoch int) {
-	if !c.journal(Record{T: recOutcome, Epoch: epoch, Outcome: outcomeDone, Cooldown: c.cfg.CooldownWindows}) {
-		return
-	}
-	c.attempt = 1
-	c.cooldown = c.cfg.CooldownWindows
-	c.act(Action{Kind: "migrate-done", Time: c.cfg.IO.Now(), Epoch: epoch})
-	c.setPhase(PhaseCooldown)
-}
-
-// finishAborted closes an aborted epoch and feeds the retry policy.
-func (c *Controller) finishAborted(epoch int, failedTargets []int, cause error) {
-	if !c.journal(Record{T: recOutcome, Epoch: epoch, Outcome: outcomeAborted, Failed: failedTargets}) {
-		return
-	}
-	c.failed = mergeFailed(c.failed, failedTargets)
-	c.act(Action{Kind: "abort", Time: c.cfg.IO.Now(), Epoch: epoch,
-		Detail: fmt.Sprintf("targets %v failed", failedTargets)})
-	c.scheduleRetry("abort", cause)
+	c.act(Action{Kind: "abort", Time: c.cfg.IO.Now(), Epoch: c.j.Epoch(),
+		Detail: fmt.Sprintf("targets %v failed", res.FailedTargets)})
+	c.scheduleRetry("abort", res.Err)
 }
 
 // retryFailure handles a failed re-advise or planning step (no epoch was
@@ -703,11 +662,11 @@ func (c *Controller) retryFailure(fit rubicon.WindowFit, stage string, cause err
 // or nil.
 func (c *Controller) scheduleRetry(stage string, cause error) error {
 	if c.attempt >= c.cfg.MaxAttempts {
-		if !c.journal(Record{T: recFail, Attempt: c.attempt, Cause: fmt.Sprint(cause)}) {
+		if !c.journaled(c.j.Fail(c.attempt, cause)) {
 			return c.err
 		}
-		rerr := &RetryError{Epoch: c.epoch, Attempts: c.attempt, Cause: cause, Reason: stage}
-		c.act(Action{Kind: "give-up", Time: c.cfg.IO.Now(), Epoch: c.epoch,
+		rerr := &RetryError{Epoch: c.j.Epoch(), Attempts: c.attempt, Cause: cause, Reason: stage}
+		c.act(Action{Kind: "give-up", Time: c.cfg.IO.Now(), Epoch: c.j.Epoch(),
 			Attempt: c.attempt, Detail: rerr.Error()})
 		c.mFailures.Inc()
 		c.attempt = 1
@@ -717,13 +676,13 @@ func (c *Controller) scheduleRetry(stage string, cause error) error {
 	}
 	next := c.attempt + 1
 	delay := c.backoffDelay(next)
-	if !c.journal(Record{T: recRetry, Epoch: c.epoch, Attempt: next, Delay: delay, Cause: fmt.Sprint(cause)}) {
+	if !c.journaled(c.j.Retry(next, delay, cause)) {
 		return c.err
 	}
 	c.attempt = next
 	c.backoff = delay
 	c.mRetries.Inc()
-	c.act(Action{Kind: "retry", Time: c.cfg.IO.Now(), Epoch: c.epoch,
+	c.act(Action{Kind: "retry", Time: c.cfg.IO.Now(), Epoch: c.j.Epoch(),
 		Attempt: next, Detail: fmt.Sprintf("backoff %d windows after %s failure", delay, stage)})
 	c.setPhase(PhaseBackoff)
 	return nil
@@ -739,11 +698,11 @@ func (c *Controller) skip(fit rubicon.WindowFit, reason string, gain float64, de
 	c.setPhase(PhaseObserving)
 }
 
-// journal appends one controller record, treating any write failure as a
-// crash: the controller stops immediately without applying the transition
-// the record announced. Returns false when the controller crashed.
-func (c *Controller) journal(r Record) bool {
-	if err := c.jw.append(r); err != nil {
+// journaled treats a failed journal append as a crash: the controller stops
+// immediately without applying the transition the record announced. Returns
+// false when the controller crashed.
+func (c *Controller) journaled(err error) bool {
+	if err != nil {
 		c.err = fmt.Errorf("control: journal write failed: %w", err)
 		c.setPhase(PhaseCrashed)
 		return false
@@ -774,11 +733,11 @@ func (c *Controller) act(a Action) {
 func (c *Controller) Status() Status {
 	return Status{
 		Phase:    c.phase,
-		Epoch:    c.epoch,
+		Epoch:    c.j.Epoch(),
 		Attempt:  c.attempt,
 		Cooldown: c.cooldown,
 		Backoff:  c.backoff,
-		Failed:   append([]int(nil), c.failed...),
+		Failed:   append([]int(nil), c.j.Failed()...),
 		Windows:  c.windows,
 	}
 }

@@ -5,8 +5,9 @@ import (
 	"fmt"
 )
 
-// Sentinel errors. Callers (cmd/advisor) match these with errors.Is to map
-// controller outcomes to exit codes.
+// Sentinel errors, matched with errors.Is. ErrControllerCorrupt tells a
+// journal's opener not to resume or append to it (the daemon quarantines such
+// a journal); ErrRetriesExhausted is the controller's informational give-up.
 var (
 	// ErrControllerCorrupt reports that a controller journal failed
 	// validation (bad frame, malformed record, impossible epoch sequence,

@@ -2,6 +2,8 @@ package control
 
 import (
 	"testing"
+
+	"dblayout/internal/migrate"
 )
 
 // FuzzControllerJournalDecode: Recover must never panic and never accept a
@@ -18,6 +20,11 @@ func FuzzControllerJournalDecode(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("deadbeef {\"t\":\"cbegin\"}\n"))
 	f.Add([]byte("00000000 \n"))
+	f.Add(mustEncodeJournal(testBegin(),
+		Record{T: recPlan, Epoch: 1, Attempt: 1, Steps: testSteps(), Reason: "api",
+			Copy: &CopyOptions{BytesPerSec: 1 << 20, ChunkBytes: 256, CheckpointBytes: 512, SyncEvery: 4}},
+		segPlan(), segState(0, "copying"), migrate.Record{T: "progress", Step: 0, Done: 512},
+	))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := Recover(data)
 		if err != nil {

@@ -31,7 +31,19 @@ import (
 // coutcome closes the epoch as "done" or "aborted". An aborted outcome (or a
 // failed re-advise) is followed by a cretry scheduling the next attempt, or
 // by a cfail when the retry budget is spent. A journal may end anywhere — a
-// crash — and Recover reconstructs the exact resume point.
+// crash — and Recover reconstructs the exact resume point. Journal is the one
+// writer of the controller records, for the controller and the daemon alike.
+
+// CopyOptions pins an epoch's engine copy options in its cplan, so a resumed
+// engine copies the way the epoch was asked to. The daemon writes it; the
+// controller leaves it unset (its engine options come from Config), and a
+// cplan without it runs with the caller's engine options.
+type CopyOptions struct {
+	BytesPerSec     float64 `json:"bytes_per_sec,omitempty"`
+	ChunkBytes      int64   `json:"chunk_bytes,omitempty"`
+	CheckpointBytes int64   `json:"checkpoint_bytes,omitempty"`
+	SyncEvery       int     `json:"sync_every,omitempty"`
+}
 
 // Controller record types.
 const (
@@ -68,6 +80,7 @@ type Record struct {
 	Reason  string               `json:"reason,omitempty"` // signal that triggered the re-advise
 	Gain    float64              `json:"gain,omitempty"`   // predicted max-utilization gain
 	Sources []int                `json:"sources,omitempty"`
+	Copy    *CopyOptions         `json:"copy,omitempty"`
 
 	// coutcome: the epoch closed.
 	Outcome  string `json:"outcome,omitempty"`
@@ -79,17 +92,155 @@ type Record struct {
 	Cause string `json:"cause,omitempty"`
 }
 
-// journalWriter appends CRC-framed controller records to a sink. A nil
-// writer (no journal configured) accepts everything silently. Every
-// controller record is a commit point (each one advances the loop's state
-// machine), so each append fsyncs a sync-capable sink before the
-// transition it announces takes effect.
-type journalWriter struct {
-	w io.Writer
+// Journal is the one owner of a controller journal's epoch records; the
+// controller and the advisor daemon both run their migrations through it. It
+// is the only code that appends controller records: each one is fsynced, and
+// the owner's own state changes only once the record is durable. It numbers
+// migration epochs from the journal and holds the open-epoch resume rule
+// (Resume). Policy stays with the callers: when to plan, retry, give up or
+// cool down, and what a failed append means.
+type Journal struct {
+	w         io.Writer
+	epoch     int     // last epoch a cplan opened (0 before any)
+	open      *Record // the open epoch's cplan, nil between epochs
+	undecided bool    // an aborted epoch's cretry or cfail is not journaled yet
+	failed    []int   // failed targets merged across aborted epochs
 }
 
-func (j *journalWriter) append(r Record) error {
-	if j == nil || j.w == nil {
+// Begin starts a journal on w with its cbegin record: the base layout and the
+// run's seed. A nil w journals nothing (the run cannot be resumed).
+func Begin(w io.Writer, base *layout.Layout, seed int64) (*Journal, error) {
+	rows := make([][]float64, base.N)
+	for i := range rows {
+		rows[i] = base.Row(i)
+	}
+	j := &Journal{w: w}
+	return j, j.append(Record{T: recBegin, N: base.N, M: base.M, Rows: rows, Seed: seed})
+}
+
+// Reopen recovers the durable bytes of a journal (after TruncateTorn) and
+// returns its owner, appending to w: the same journal opened for append.
+func Reopen(w io.Writer, data []byte) (*Journal, *Checkpoint, error) {
+	ck, err := Recover(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	j := &Journal{w: w, epoch: ck.Epoch, undecided: ck.NeedRetryDecision, failed: ck.Failed}
+	if ck.Open != nil {
+		j.open = &ck.Open.Plan
+	}
+	return j, ck, nil
+}
+
+// Epoch returns the last epoch a cplan opened, 0 before any.
+func (j *Journal) Epoch() int { return j.epoch }
+
+// Failed returns the failed targets merged across the aborted epochs.
+func (j *Journal) Failed() []int { return j.failed }
+
+// Plan opens the next migration epoch: it journals p (the caller's attempt,
+// steps, scratch, reason, gain and copy options) as a cplan stamped with the
+// next epoch number and the journal's failed targets. The grammar allows no
+// cplan while an epoch is open or an abort awaits its retry decision.
+func (j *Journal) Plan(p Record) error {
+	if j.open != nil || j.undecided {
+		return fmt.Errorf("control: epoch %d is still open or awaits its retry decision", j.epoch)
+	}
+	p.T, p.Epoch, p.Sources = recPlan, j.epoch+1, append([]int(nil), j.failed...)
+	if err := j.append(p); err != nil {
+		return err
+	}
+	j.epoch, j.open = p.Epoch, &p
+	return nil
+}
+
+// Engine builds the open epoch's migration engine over sim, from base (the
+// layout the epoch migrates from) or, with ck set, resumed from a recovered
+// engine checkpoint. The engine journals to the owner's writer and runs the
+// cplan's steps with its scratch and copy options and the journal's failed
+// targets as FailedSources; done receives its result. The caller starts it.
+func (j *Journal) Engine(sim migrate.IO, base *layout.Layout, ck *migrate.Checkpoint, opt migrate.Options, done func(*migrate.Result)) (*migrate.Engine, error) {
+	p := j.open
+	opt.Journal, opt.Checkpoint = j.w, ck
+	if p.Scratch != nil {
+		opt.Scratch = *p.Scratch
+	}
+	if c := p.Copy; c != nil {
+		opt.BytesPerSec, opt.ChunkBytes, opt.CheckpointBytes, opt.SyncEvery = c.BytesPerSec, c.ChunkBytes, c.CheckpointBytes, c.SyncEvery
+	}
+	opt.FailedSources = append([]int(nil), j.failed...)
+	return migrate.NewEngine(sim, base, p.Steps, opt, done)
+}
+
+// Resume applies the open-epoch rule to the checkpoint Reopen recovered. With
+// no epoch open it does nothing. When the open epoch's engine checkpoint
+// already says done or aborted (the crash beat the outcome record), it
+// reports that outcome to done and re-runs nothing. Otherwise it returns the
+// epoch's engine restarted from the checkpoint (see Engine), for the caller
+// to start.
+func (j *Journal) Resume(ck *Checkpoint, sim migrate.IO, opt migrate.Options, done func(*migrate.Result)) (*migrate.Engine, error) {
+	open := ck.Open
+	if open == nil {
+		return nil, nil
+	}
+	mck := open.Checkpoint
+	if mck == nil || !(mck.Done || mck.Aborted) {
+		eng, err := j.Engine(sim, ck.Current, mck, opt, done)
+		if err != nil {
+			return nil, fmt.Errorf("control: resuming epoch %d: %w", open.Plan.Epoch, err)
+		}
+		return eng, nil
+	}
+	res := &migrate.Result{Done: mck.Done, Aborted: mck.Aborted, FailedTargets: mck.Failed,
+		Committed: mck.CommittedSteps(), CommittedBytes: mck.CommittedBytes(), Layout: ck.Current.Clone()}
+	mck.ApplyCommitted(res.Layout)
+	if mck.Aborted {
+		res.Err = fmt.Errorf("resumed after abort, targets %v failed", mck.Failed)
+	}
+	done(res)
+	return nil, nil
+}
+
+// Outcome closes the open epoch with its engine's result, which must be done
+// or aborted: a done coutcome carries the caller's cooldown, an aborted one
+// the failed targets, which join the journal's failed set.
+func (j *Journal) Outcome(res *migrate.Result, cooldown int) error {
+	r := Record{T: recOutcome, Epoch: j.epoch, Outcome: outcomeDone, Cooldown: cooldown}
+	if res.Aborted {
+		r = Record{T: recOutcome, Epoch: j.epoch, Outcome: outcomeAborted, Failed: res.FailedTargets}
+	}
+	if err := j.append(r); err != nil {
+		return err
+	}
+	j.open, j.undecided = nil, res.Aborted
+	if res.Aborted {
+		j.failed = mergeFailed(j.failed, res.FailedTargets)
+	}
+	return nil
+}
+
+// Retry journals a retry decision: attempt runs after delay refit windows.
+func (j *Journal) Retry(attempt, delay int, cause error) error {
+	return j.decide(Record{T: recRetry, Epoch: j.epoch, Attempt: attempt, Delay: delay, Cause: fmt.Sprint(cause)})
+}
+
+// Fail journals the terminal failure of attempt: no retry follows.
+func (j *Journal) Fail(attempt int, cause error) error {
+	return j.decide(Record{T: recFail, Attempt: attempt, Cause: fmt.Sprint(cause)})
+}
+
+func (j *Journal) decide(r Record) error {
+	if err := j.append(r); err != nil {
+		return err
+	}
+	j.undecided = false
+	return nil
+}
+
+// append journals one controller record, CRC-framed and fsynced: every
+// controller record is a commit point.
+func (j *Journal) append(r Record) error {
+	if j.w == nil {
 		return nil
 	}
 	body, err := json.Marshal(r)

@@ -236,6 +236,65 @@ func TestRecoverStates(t *testing.T) {
 	})
 }
 
+// TestJournalOwnerResume pins the open-epoch rule the controller and the
+// daemon share: a cplan's copy options survive the journal, Plan refuses to
+// open an epoch over an open one, and an engine checkpoint that already says
+// done is reported to the completion callback without re-running anything.
+func TestJournalOwnerResume(t *testing.T) {
+	copyOpt := CopyOptions{BytesPerSec: 1 << 20, ChunkBytes: 256, CheckpointBytes: 512, SyncEvery: 4}
+	plan := testPlan(1, 1)
+	plan.Copy = &copyOpt
+	data := encodeJournal(t, flatten(testBegin(), plan, doneSegment())...)
+	var appended bytes.Buffer
+	j, ck, err := Reopen(&appended, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ck.Open.Plan.Copy; got == nil || *got != copyOpt {
+		t.Fatalf("cplan copy options = %+v, want %+v", got, copyOpt)
+	}
+	if err := j.Plan(testPlan(2, 1)); err == nil {
+		t.Fatal("Plan opened an epoch over an open one")
+	}
+	var res *migrate.Result
+	eng, err := j.Resume(ck, nil, migrate.Options{}, func(r *migrate.Result) { res = r })
+	if err != nil || eng != nil || res == nil || !res.Done {
+		t.Fatalf("Resume = %v, %v; reported %+v, want a done outcome and no engine", eng, err, res)
+	}
+	if got := res.Layout.At(0, 1); got != 0.5 {
+		t.Fatalf("reported layout misses the committed step: row0 %v", res.Layout.Row(0))
+	}
+	if err := j.Outcome(res, 3); err != nil {
+		t.Fatal(err)
+	}
+	ck, err = Recover(append(data, appended.Bytes()...))
+	if err != nil || ck.Open != nil || !ck.Cooling || j.Epoch() != 1 {
+		t.Fatalf("after Outcome: %+v, %v (epoch %d)", ck, err, j.Epoch())
+	}
+
+	// An aborted epoch's retry decision must land before the next cplan.
+	aborted := encodeJournal(t, testBegin(), testPlan(1, 1), segPlan(), segAbort(),
+		Record{T: recOutcome, Epoch: 1, Outcome: outcomeAborted, Failed: []int{1}})
+	appended.Reset()
+	j, _, err = Reopen(&appended, aborted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Plan(testPlan(2, 1)); err == nil {
+		t.Fatal("Plan opened an epoch before the aborted epoch's retry decision")
+	}
+	if err := j.Fail(1, errors.New("give up")); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Plan(testPlan(2, 1)); err != nil {
+		t.Fatalf("Plan after the retry decision: %v", err)
+	}
+	ck, err = Recover(append(aborted, appended.Bytes()...))
+	if err != nil || ck.Open == nil || ck.Open.Plan.Epoch != 2 || len(ck.Open.Plan.Sources) != 1 {
+		t.Fatalf("after Fail and Plan: %+v, %v", ck, err)
+	}
+}
+
 // TestResumeRemakesRetryDecision: a crash between the aborted outcome and its
 // retry decision resumes by re-making exactly that decision, journaling it.
 func TestResumeRemakesRetryDecision(t *testing.T) {

@@ -24,7 +24,7 @@ func (c *Controller) backoffDelay(attempt int) int {
 	if d > c.cfg.MaxBackoffWindows {
 		d = c.cfg.MaxBackoffWindows
 	}
-	j := seed.Sub(c.cfg.Seed, seed.StreamControl, streamJitter, int64(c.epoch), int64(attempt))
+	j := seed.Sub(c.cfg.Seed, seed.StreamControl, streamJitter, int64(c.j.Epoch()), int64(attempt))
 	return d + int(uint64(j)%uint64(c.cfg.BaseBackoffWindows+1))
 }
 

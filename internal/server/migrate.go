@@ -20,11 +20,12 @@ import (
 
 // Migrations run against a deterministic simulated I/O substrate
 // (control.SimIO) and journal to a per-tenant write-ahead file in the
-// controller journal format: a cbegin record fixes the base layout, each
-// migration opens an epoch with cplan, the engine's own records interleave
-// while the epoch is open, and a coutcome closes it. A daemon restart
-// replays the file through control.Recover and resumes the open epoch's
-// engine from its checkpoint — the engine's journal-before-transition
+// controller journal format, through control.Journal — the epoch owner the
+// autonomic controller uses too. A cbegin record fixes the base layout, each
+// migration opens an epoch with a cplan carrying the request's copy options,
+// the engine's own records interleave while the epoch is open, and a
+// coutcome closes it. A daemon restart reopens the file and hands an open
+// epoch to the owner's resume rule — the engine's journal-before-transition
 // protocol makes the resume exactly-once (no step commits twice, no
 // committed byte is lost or double-counted).
 //
@@ -36,13 +37,11 @@ import (
 
 // migration is one tenant's in-flight (or just-finished) migration.
 type migration struct {
-	epoch    int
-	steps    []migrate.Step
+	journal  *control.Journal
 	engine   *migrate.Engine
 	sim      *control.SimIO
 	file     *os.File
 	stop     chan struct{} // closed to abandon the pump (crash semantics)
-	res      *migrate.Result
 	finished bool
 	err      string
 	// recovered marks a migration resumed from the journal at startup.
@@ -56,14 +55,12 @@ type migrateRequest struct {
 	// recommendation.
 	Target [][]float64 `json:"target"`
 	Seed   int64       `json:"seed"`
-	// BytesPerSec throttles the copy stream (simulated bytes/second;
-	// 0 = unthrottled).
-	BytesPerSec float64 `json:"bytes_per_sec"`
-	ChunkBytes  int64   `json:"chunk_bytes"`
-	// CheckpointBytes is the progress-journaling granularity.
-	CheckpointBytes int64 `json:"checkpoint_bytes"`
-	// SyncEvery batches progress-record fsyncs (see migrate.Options).
-	SyncEvery int `json:"sync_every"`
+	// The copy options: bytes_per_sec throttles the copy stream (simulated
+	// bytes/second, 0 = unthrottled), chunk_bytes is the copy granularity,
+	// checkpoint_bytes the progress-journaling granularity, and sync_every
+	// batches progress-record fsyncs (default 8). The epoch's cplan
+	// journals them, so a resumed migration copies the same way.
+	control.CopyOptions
 }
 
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
@@ -81,6 +78,9 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "parsing request: %v", err)
 			return
 		}
+	}
+	if req.SyncEvery == 0 {
+		req.SyncEvery = 8
 	}
 
 	var target *layout.Layout
@@ -133,6 +133,12 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "tenant %q already has a migration in flight", t.id)
 		return
 	}
+	if t.snapshot().current != st.current {
+		// A migration finished or a new document landed since the plan
+		// was made from st: the plan no longer starts from the layout.
+		writeError(w, http.StatusConflict, "tenant %q changed while planning the migration; retry", t.id)
+		return
+	}
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
@@ -147,79 +153,58 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"tenant": t.id, "version": st.version, "started": true,
-		"epoch": mig.epoch, "moves": len(steps),
+		"epoch": mig.journal.Epoch(), "moves": len(steps),
 		"bytes": migrate.ScriptBytes(steps),
 	})
 }
 
-// startMigration opens (or extends) the tenant journal, journals the cplan,
-// builds the engine and launches the pump. Caller holds t.migMu.
+// startMigration opens the next epoch in the tenant journal (starting the
+// journal with its cbegin when there is none), builds the engine and launches
+// the pump. Caller holds t.migMu.
 func (s *Server) startMigration(t *tenant, st *tenantState, steps []migrate.Step, scratch migrate.ScratchSpec, req migrateRequest) (*migration, error) {
-	path := s.journalPath(t.id)
-	fresh := false
-	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
-		fresh = true
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	data, f, err := wal.OpenAppend(s.journalPath(t.id))
 	if err != nil {
 		return nil, err
 	}
-	if fresh {
+	var j *control.Journal
+	if len(data) == 0 {
 		// cbegin pins the journal's base layout: the current layout at
 		// journal creation. Every later epoch migrates from base plus the
 		// committed steps of the closed epochs before it.
-		if err := appendControl(f, control.Record{
-			T: "cbegin", N: len(st.names), M: len(st.caps),
-			Rows: layoutRows(st.current), Seed: req.Seed,
-		}); err != nil {
-			f.Close()
-			return nil, err
-		}
+		j, err = control.Begin(f, st.current, req.Seed)
+	} else {
+		j, _, err = control.Reopen(f, data)
 	}
-	epoch := t.epoch + 1
-	if err := appendControl(f, control.Record{
-		T: "cplan", Epoch: epoch, Attempt: 1,
-		Steps: steps, Scratch: &scratch, Reason: "api",
-	}); err != nil {
-		f.Close()
-		return nil, err
+	if err == nil {
+		err = j.Plan(control.Record{Attempt: 1, Steps: steps, Scratch: &scratch, Reason: "api", Copy: &req.CopyOptions})
 	}
-
-	mig := &migration{
-		epoch: epoch,
-		steps: steps,
-		sim:   control.NewSimIO(s.simDevices(st), 0),
-		file:  f,
-		stop:  make(chan struct{}),
+	var eng *migrate.Engine
+	mig := &migration{journal: j, sim: control.NewSimIO(s.simDevices(st), 0), file: f, stop: make(chan struct{})}
+	if err == nil {
+		eng, err = j.Engine(mig.sim, st.current, nil, engineOptions(), func(res *migrate.Result) { s.finish(t, mig, res) })
 	}
-	engine, err := migrate.NewEngine(mig.sim, st.current, steps, s.migrateOptions(f, req), func(r *migrate.Result) {
-		mig.res = r
-	})
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	mig.engine = engine
-	t.mig = mig
-	engine.Start()
-	s.wg.Add(1)
-	go s.pump(t, mig)
+	s.run(t, mig, eng)
 	return mig, nil
 }
 
-func (s *Server) migrateOptions(journal io.Writer, req migrateRequest) migrate.Options {
-	opt := migrate.Options{
-		BytesPerSec:     req.BytesPerSec,
-		ChunkBytes:      req.ChunkBytes,
-		CheckpointBytes: req.CheckpointBytes,
-		SyncEvery:       req.SyncEvery,
-		MaxQueueShare:   1, // no foreground I/O in the daemon's simulation
-		Journal:         journal,
-	}
-	if opt.SyncEvery == 0 {
-		opt.SyncEvery = 8
-	}
-	return opt
+// engineOptions are the daemon's engine options beneath each epoch's
+// journaled copy options: no foreground I/O to yield to, and the default
+// fsync batching for a cplan that carries no copy options.
+func engineOptions() migrate.Options {
+	return migrate.Options{MaxQueueShare: 1, SyncEvery: 8}
+}
+
+// run starts a migration's engine and its pump. Caller holds t.migMu.
+func (s *Server) run(t *tenant, mig *migration, eng *migrate.Engine) {
+	mig.engine = eng
+	t.mig = mig
+	eng.Start()
+	s.wg.Add(1)
+	go s.pump(t, mig)
 }
 
 // simDevices builds the simulated device table for a tenant's targets.
@@ -253,70 +238,47 @@ func (s *Server) pump(t *tenant, mig *migration) {
 		default:
 		}
 		t.migMu.Lock()
-		if mig.res == nil {
-			mig.sim.Advance(s.opt.SimStep)
+		if !mig.finished {
+			mig.sim.Advance(s.opt.SimStep) // may run finish
 		}
-		done := mig.res != nil
-		if done {
-			s.finalizeMigration(t, mig)
-		}
+		done := mig.finished
 		t.migMu.Unlock()
 		if done {
-			if mig.res.Layout != nil {
-				s.installLayout(t, mig.res.Layout)
-			}
 			return
 		}
 		time.Sleep(s.opt.PumpInterval)
 	}
 }
 
-// finalizeMigration closes the epoch in the journal and the file. Caller
-// holds t.migMu.
-func (s *Server) finalizeMigration(t *tenant, mig *migration) {
-	res := mig.res
-	switch {
-	case res.Done:
-		if err := appendControl(mig.file, control.Record{
-			T: "coutcome", Epoch: mig.epoch, Outcome: "done",
-		}); err != nil {
-			mig.err = fmt.Sprintf("closing epoch: %v", err)
-		}
-	case res.Aborted:
-		// The daemon does not auto-retry: the abort is recorded terminal
-		// (coutcome aborted + cfail) and clients replan via /repair.
-		if err := appendControl(mig.file, control.Record{
-			T: "coutcome", Epoch: mig.epoch, Outcome: "aborted", Failed: res.FailedTargets,
-		}); err != nil {
-			mig.err = fmt.Sprintf("closing epoch: %v", err)
-		} else if err := appendControl(mig.file, control.Record{
-			T: "cfail", Cause: "api migration aborted; replan via /repair",
-		}); err != nil {
-			mig.err = fmt.Sprintf("closing epoch: %v", err)
-		}
-	case res.Crashed:
-		mig.err = fmt.Sprintf("journal write failed: %v", res.Err)
-	}
-	if res.Err != nil && mig.err == "" {
-		mig.err = res.Err.Error()
-	}
-	mig.file.Close()
+// finish is the engine's completion callback. It runs under t.migMu, from
+// the pump or from the journal owner's resume at start-up. It closes the
+// epoch (an abort is made terminal with cfail: the daemon never auto-retries,
+// clients replan via /repair) and installs the closed epoch's layout on the
+// tenant's latest state, so the journal and the state change in one migMu
+// section.
+func (s *Server) finish(t *tenant, mig *migration, res *migrate.Result) {
+	defer mig.file.Close()
 	mig.finished = true
-	t.epoch = mig.epoch
-	if s.log != nil {
-		s.log.Info("migration finished", "tenant", t.id, "epoch", mig.epoch,
-			"done", res.Done, "aborted", res.Aborted, "committed_bytes", res.CommittedBytes)
-	}
-}
-
-// installLayout swaps the tenant's state to one whose current layout is the
-// migration result. Takes t.mu (never while holding t.migMu).
-func (s *Server) installLayout(t *tenant, l *layout.Layout) {
-	st := t.snapshot()
-	if st == nil {
+	if res.Crashed {
+		mig.err = fmt.Sprintf("journal write failed: %v", res.Err)
 		return
 	}
-	t.install(st.withLayout(l))
+	err := mig.journal.Outcome(res, 0)
+	if err == nil && res.Aborted {
+		err = mig.journal.Fail(1, fmt.Errorf("%v; replan via /repair", res.Err))
+	}
+	if err != nil {
+		mig.err = fmt.Sprintf("closing epoch: %v", err)
+		return
+	}
+	if res.Err != nil {
+		mig.err = res.Err.Error()
+	}
+	t.update(func(st *tenantState) (*tenantState, error) { return st.withLayout(res.Layout), nil })
+	if s.log != nil {
+		s.log.Info("migration finished", "tenant", t.id, "epoch", mig.journal.Epoch(),
+			"done", res.Done, "aborted", res.Aborted, "committed_bytes", res.CommittedBytes)
+	}
 }
 
 func (s *Server) handleMigration(w http.ResponseWriter, r *http.Request) {
@@ -328,23 +290,21 @@ func (s *Server) handleMigration(w http.ResponseWriter, r *http.Request) {
 	defer t.migMu.Unlock()
 	if t.mig == nil {
 		writeJSON(w, http.StatusOK, map[string]interface{}{
-			"tenant": t.id, "version": st.version, "active": false, "epochs": t.epoch,
+			"tenant": t.id, "version": st.version, "active": false,
 		})
 		return
 	}
 	mig := t.mig
 	res := mig.engine.Result()
-	total := migrate.ScriptBytes(mig.steps)
 	resp := map[string]interface{}{
 		"tenant": t.id, "version": st.version,
 		"active":          !mig.finished,
-		"epoch":           mig.epoch,
-		"epochs":          t.epoch,
+		"epoch":           mig.journal.Epoch(),
 		"recovered":       mig.recovered,
-		"steps":           len(mig.steps),
+		"steps":           len(res.Steps),
 		"committed_steps": res.Committed,
 		"committed_bytes": res.CommittedBytes,
-		"total_bytes":     total,
+		"total_bytes":     migrate.ScriptBytes(res.Steps),
 		"done":            res.Done,
 		"aborted":         res.Aborted,
 	}
@@ -352,19 +312,6 @@ func (s *Server) handleMigration(w http.ResponseWriter, r *http.Request) {
 		resp["error"] = mig.err
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// appendControl journals one controller record, CRC-framed and fsynced —
-// every controller record is a commit point.
-func appendControl(w io.Writer, rec control.Record) error {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	if err := wal.Append(w, body); err != nil {
-		return err
-	}
-	return wal.Sync(w)
 }
 
 // restore rebuilds every persisted tenant and resumes in-flight migrations
@@ -405,153 +352,61 @@ func (s *Server) restore() error {
 	return nil
 }
 
-// recoverJournal replays a tenant's migration journal: closed epochs roll
-// the current layout forward; an open epoch resumes its engine from the
-// recovered checkpoint, exactly once.
+// recoverJournal reopens a tenant's migration journal through the journal
+// owner: closed epochs roll the current layout forward, a journal ending at
+// an aborted outcome gets its terminal cfail, and an open epoch goes to the
+// owner's resume rule.
 func (s *Server) recoverJournal(t *tenant, st *tenantState) error {
 	path := s.journalPath(t.id)
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
+	data, f, err := wal.OpenAppend(path)
 	if err != nil {
 		return err
 	}
-	durable := control.TruncateTorn(data)
-	if len(durable) == 0 {
+	if len(data) == 0 {
+		// No journal, or one whose cbegin never became durable.
+		f.Close()
 		return os.Remove(path)
 	}
-	ck, err := control.Recover(durable)
+	j, ck, err := control.Reopen(f, data)
+	if err == nil && (ck.N != len(st.names) || ck.M != len(st.caps)) {
+		err = fmt.Errorf("journal is for a %dx%d problem, the document is %dx%d", ck.N, ck.M, len(st.names), len(st.caps))
+	}
 	if err != nil {
 		// A journal the daemon cannot trust is quarantined, not appended
 		// to: the tenant restarts from its problem document's layout.
+		f.Close()
 		if s.log != nil {
 			s.log.Warn("quarantining corrupt journal", "tenant", t.id, "err", err)
 		}
 		return os.Rename(path, path+".corrupt")
 	}
-	// Drop the torn tail from the file itself so appended records follow
-	// the last durable one.
-	if len(durable) != len(data) {
-		if err := os.Truncate(path, int64(len(durable))); err != nil {
-			return err
-		}
-	}
 	t.migMu.Lock()
 	defer t.migMu.Unlock()
-	t.epoch = ck.Epoch
-	current := ck.Current.Clone()
-
-	if ck.Open == nil {
-		if ck.NeedRetryDecision {
-			// The crash landed between the aborted outcome and its retry
-			// decision; record the terminal decision now (the daemon never
-			// auto-retries), keeping the journal grammar appendable.
-			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return err
-			}
-			err = appendControl(f, control.Record{T: "cfail", Cause: "abort recovered at restart; replan via /repair"})
-			f.Close()
-			if err != nil {
-				return err
-			}
-		}
-		s.installRecovered(t, st, current)
-		return nil
+	t.update(func(st *tenantState) (*tenantState, error) { return st.withLayout(ck.Current), nil })
+	if ck.NeedRetryDecision {
+		// The crash landed between an aborted outcome and its retry
+		// decision: the daemon's decision is always the terminal one.
+		err = j.Fail(1, errors.New("abort recovered at restart; replan via /repair"))
 	}
-
-	open := ck.Open
-	mck := open.Checkpoint
-	if mck != nil && (mck.Done || mck.Aborted) {
-		// The engine finished but the crash swallowed the coutcome: close
-		// the epoch without re-running anything.
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		outcome := "done"
-		if mck.Aborted {
-			outcome = "aborted"
-		}
-		err = appendControl(f, control.Record{
-			T: "coutcome", Epoch: open.Plan.Epoch, Outcome: outcome, Failed: mck.Failed,
-		})
-		if err == nil && mck.Aborted {
-			err = appendControl(f, control.Record{T: "cfail", Cause: "abort recovered at restart; replan via /repair"})
-		}
+	if ck.Open == nil || err != nil {
 		f.Close()
-		if err != nil {
-			return err
-		}
-		mck.ApplyCommitted(current)
-		t.epoch = open.Plan.Epoch
-		s.installRecovered(t, st, current)
-		return nil
-	}
-
-	// A genuinely in-flight epoch: resume its engine from the checkpoint
-	// and pump it to completion. NewEngine re-applies committed steps from
-	// the checkpoint itself, so `current` (base of the open epoch) is the
-	// right base layout.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
 		return err
 	}
-	mig := &migration{
-		epoch:     open.Plan.Epoch,
-		steps:     open.Plan.Steps,
-		sim:       control.NewSimIO(s.simDevices(st), 0),
-		file:      f,
-		stop:      make(chan struct{}),
-		recovered: true,
-	}
-	opt := s.migrateOptions(f, migrateRequest{})
-	opt.Checkpoint = mck
-	if open.Plan.Scratch != nil {
-		opt.Scratch = *open.Plan.Scratch
-	}
-	engine, err := migrate.NewEngine(mig.sim, current, open.Plan.Steps, opt, func(r *migrate.Result) {
-		mig.res = r
-	})
+	mig := &migration{journal: j, sim: control.NewSimIO(s.simDevices(st), 0), file: f,
+		stop: make(chan struct{}), recovered: true}
+	eng, err := j.Resume(ck, mig.sim, engineOptions(), func(res *migrate.Result) { s.finish(t, mig, res) })
 	if err != nil {
 		f.Close()
-		return fmt.Errorf("resuming epoch %d: %w", open.Plan.Epoch, err)
+		return err
 	}
-	mig.engine = engine
-	t.mig = mig
-	t.epoch = open.Plan.Epoch - 1 // finalize sets it to the epoch on close
-	s.installRecovered(t, st, current)
+	if eng == nil {
+		return nil // the owner reported an outcome the crash swallowed; finish closed the epoch
+	}
 	s.mRecovered.Inc()
 	if s.log != nil {
-		s.log.Info("resuming migration", "tenant", t.id, "epoch", open.Plan.Epoch,
-			"committed_steps", engine.Result().Committed)
+		s.log.Info("resuming migration", "tenant", t.id, "epoch", j.Epoch(),
+			"committed_steps", eng.Result().Committed)
 	}
-	engine.Start()
-	s.wg.Add(1)
-	go s.pump(t, mig)
+	s.run(t, mig, eng)
 	return nil
-}
-
-// installRecovered swaps in the journal-recovered current layout when it
-// differs from the document's.
-func (s *Server) installRecovered(t *tenant, st *tenantState, current *layout.Layout) {
-	if layoutsEqual(st.current, current) {
-		return
-	}
-	t.install(st.withLayout(current))
-}
-
-func layoutsEqual(a, b *layout.Layout) bool {
-	if a.N != b.N || a.M != b.M {
-		return false
-	}
-	for i := 0; i < a.N; i++ {
-		for j := 0; j < a.M; j++ {
-			if a.At(i, j) != b.At(i, j) {
-				return false
-			}
-		}
-	}
-	return true
 }

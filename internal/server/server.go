@@ -17,8 +17,9 @@
 //     OOM. Each solve runs under the configured SolveBudget.
 //   - Durability. Migrations execute against a deterministic simulated I/O
 //     substrate and journal to a per-tenant write-ahead file using the
-//     controller journal format; a daemon restart recovers every in-flight
-//     migration exactly once through control.Recover.
+//     controller journal format, through the epoch owner the autonomic
+//     controller uses (control.Journal); a daemon restart resumes every
+//     in-flight migration exactly once through it.
 package server
 
 import (
@@ -322,31 +323,30 @@ func (s *Server) handleTenantPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	t.migMu.Lock()
-	migrating := t.mig != nil && !t.mig.finished
-	t.migMu.Unlock()
-	if migrating {
-		writeError(w, http.StatusConflict, "tenant %q has a migration in flight", t.id)
-		return
-	}
 	st, err := t.buildState(s, raw)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
 	// A new problem document resets the tenant's world: the fitted-
-	// workload cache and the migration journal describe the old one.
+	// workload cache and the migration journal describe the old one. The
+	// in-flight check, the reset and the install are one migMu section, so
+	// no migration starts or finishes against the old document in between.
+	t.migMu.Lock()
+	if t.mig != nil && !t.mig.finished {
+		t.migMu.Unlock()
+		writeError(w, http.StatusConflict, "tenant %q has a migration in flight", t.id)
+		return
+	}
 	t.fitMu.Lock()
 	t.fit = nil
 	t.fitMu.Unlock()
-	t.migMu.Lock()
 	t.mig = nil
-	t.epoch = 0
 	if s.opt.DataDir != "" {
 		_ = os.Remove(s.journalPath(t.id))
 	}
-	t.migMu.Unlock()
 	st = t.install(st)
+	t.migMu.Unlock()
 	if err := s.persistDoc(t.id, raw); err != nil {
 		writeError(w, http.StatusInternalServerError, "persisting problem: %v", err)
 		return
@@ -363,14 +363,13 @@ func (s *Server) handleTenantGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t.migMu.Lock()
-	epoch := t.epoch
 	migrating := t.mig != nil && !t.mig.finished
 	t.migMu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"tenant": t.id, "version": st.version,
 		"objects": st.names, "targets": len(st.caps),
-		"current": layoutRows(st.current),
-		"epochs":  epoch, "migrating": migrating,
+		"current":   layoutRows(st.current),
+		"migrating": migrating,
 	})
 }
 
@@ -400,7 +399,7 @@ func (s *Server) handleTenantDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	t, st := s.snapshotFor(w, r)
+	t, _ := s.snapshotFor(w, r)
 	if t == nil {
 		return
 	}
@@ -416,7 +415,7 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	ns, err := st.withWorkloads(set)
+	ns, err := t.update(func(cur *tenantState) (*tenantState, error) { return cur.withWorkloads(set) })
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
@@ -426,7 +425,6 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	t.fitMu.Lock()
 	t.fit = nil
 	t.fitMu.Unlock()
-	ns = t.install(ns)
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"tenant": t.id, "version": ns.version, "workloads": len(body.Workloads),
 	})
@@ -453,17 +451,18 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, "%v", err)
 		return
 	}
-	version := st.version
-	if !cached || st.problem.Workloads != set {
-		ns, err := st.withWorkloads(set)
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, "fitted workloads: %v", err)
-			return
+	ns, err := t.update(func(cur *tenantState) (*tenantState, error) {
+		if cur.problem.Workloads == set {
+			return cur, nil
 		}
-		version = t.install(ns).version
+		return cur.withWorkloads(set)
+	})
+	if err != nil {
+		writeError(w, http.StatusUnprocessableEntity, "fitted workloads: %v", err)
+		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"tenant": t.id, "version": version, "cached": cached,
+		"tenant": t.id, "version": ns.version, "cached": cached,
 		"workloads": len(st.names),
 	})
 }

@@ -499,6 +499,47 @@ func TestDaemonRestartResumesMigrationExactlyOnce(t *testing.T) {
 	if ck.Open != nil {
 		t.Error("final journal leaves an epoch open")
 	}
+	// The resumed migration keeps the requested copy options: across both
+	// daemon lifetimes each step journals a progress mark at every
+	// checkpoint_bytes boundary exactly once, so the resumed part continues
+	// the requested spacing instead of falling back to the default.
+	frames, err := wal.Frames(control.TruncateTorn(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var planned []migrate.Step
+	marks := map[[2]int64]int{}
+	for _, body := range frames {
+		var tag struct {
+			T string `json:"t"`
+		}
+		if err := json.Unmarshal(body, &tag); err != nil || strings.HasPrefix(tag.T, "c") {
+			continue
+		}
+		rec, err := migrate.DecodeRecordBody(body)
+		if err != nil {
+			t.Fatalf("migrate record: %v", err)
+		}
+		switch rec.T {
+		case "plan":
+			planned = rec.Steps
+		case "progress":
+			marks[[2]int64{int64(rec.Step), rec.Done}]++
+		}
+	}
+	const spacing = 512 << 10
+	wantMarks := 0
+	for i, step := range planned {
+		for done := int64(spacing); done < step.Move.Bytes; done += spacing {
+			wantMarks++
+			if n := marks[[2]int64{int64(i), done}]; n != 1 {
+				t.Errorf("step %d: progress mark at %d bytes journaled %d times, want once", i, done, n)
+			}
+		}
+	}
+	if len(marks) != wantMarks {
+		t.Errorf("journal has %d distinct progress marks, want %d at %d-byte spacing", len(marks), wantMarks, spacing)
+	}
 	_ = crashStatus
 }
 

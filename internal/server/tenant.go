@@ -105,7 +105,6 @@ type tenant struct {
 
 	migMu sync.Mutex
 	mig   *migration
-	epoch int // migration epochs recorded in this tenant's journal
 }
 
 func newTenant(id string) *tenant {
@@ -124,19 +123,32 @@ func (t *tenant) snapshot() *tenantState {
 	return t.state
 }
 
-// install swaps in a new state snapshot, stamps it with the next version,
-// and drops the advise cache (entries are version-keyed, so this is memory
-// hygiene, not correctness).
-func (t *tenant) install(st *tenantState) *tenantState {
+// update applies fn to the tenant's latest state under the state lock and
+// installs the result, so concurrent updates compose instead of one reverting
+// another. A new snapshot is stamped with the next version and drops the
+// advise cache (entries are version-keyed, so this is memory hygiene, not
+// correctness); fn returning its argument installs nothing.
+func (t *tenant) update(fn func(*tenantState) (*tenantState, error)) (*tenantState, error) {
 	t.mu.Lock()
-	t.version++
-	st.version = t.version
-	t.state = st
+	st, err := fn(t.state)
+	changed := err == nil && st != t.state
+	if changed {
+		t.version++
+		st.version = t.version
+		t.state = st
+	}
 	t.mu.Unlock()
+	if changed {
+		t.adviseMu.Lock()
+		t.advise = map[adviseKey]*adviseEntry{}
+		t.adviseMu.Unlock()
+	}
+	return st, err
+}
 
-	t.adviseMu.Lock()
-	t.advise = map[adviseKey]*adviseEntry{}
-	t.adviseMu.Unlock()
+// install swaps in a whole new state snapshot, such as a new document's.
+func (t *tenant) install(st *tenantState) *tenantState {
+	t.update(func(*tenantState) (*tenantState, error) { return st, nil })
 	return st
 }
 

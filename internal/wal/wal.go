@@ -14,9 +14,11 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 	"strconv"
 )
 
@@ -115,6 +117,27 @@ func TruncateTorn(data []byte) []byte {
 		return data[:i+1]
 	}
 	return nil
+}
+
+// OpenAppend opens the journal file at path for appending, creating it when
+// absent, and returns its durable records. A torn final line left by a crash
+// mid-write is cut from the file first, so appended records never follow it.
+func OpenAppend(path string) ([]byte, *os.File, error) {
+	data, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, nil, err
+	}
+	durable := TruncateTorn(data)
+	if len(durable) < len(data) {
+		if err := os.Truncate(path, int64(len(durable))); err != nil {
+			return nil, nil, err
+		}
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	return durable, f, nil
 }
 
 // Truncate renders a byte slice for error messages, bounding its length.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -73,6 +75,38 @@ func TestTruncateTornNoNewline(t *testing.T) {
 	}
 	if got := TruncateTorn(nil); got != nil {
 		t.Fatalf("TruncateTorn(nil) = %q, want nil", got)
+	}
+}
+
+// TestOpenAppend: a missing journal opens empty; a torn final line is cut
+// from the file before anything is appended after the durable records.
+func TestOpenAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.wal")
+	durable, f, err := OpenAppend(path)
+	if err != nil || len(durable) != 0 {
+		t.Fatalf("OpenAppend on a missing file: %q, %v", durable, err)
+	}
+	var buf bytes.Buffer
+	mustAppend(t, &buf, "alpha")
+	if err := Append(f, []byte("alpha")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("1234abcd tor"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	durable, f, err = OpenAppend(path)
+	if err != nil || !bytes.Equal(durable, buf.Bytes()) {
+		t.Fatalf("OpenAppend = %q, %v; want %q", durable, err, buf.Bytes())
+	}
+	mustAppend(t, &buf, "beta")
+	if err := Append(f, []byte("beta")); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, buf.Bytes()) {
+		t.Fatalf("file after append = %q, %v; want %q", got, err, buf.Bytes())
 	}
 }
 
