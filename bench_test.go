@@ -219,11 +219,7 @@ func BenchmarkAblation_Solver(b *testing.B) {
 			return nlp.ProjectedGradient(context.Background(), ev, inst, init, nlp.Options{MaxIters: 60})
 		}},
 		{"anneal", func() nlp.Result {
-			res, err := nlp.Anneal(context.Background(), ev, inst, init, nlp.AnnealOptions{Options: nlp.Options{Seed: 1, MaxIters: 4000}})
-			if err != nil {
-				panic(err)
-			}
-			return res
+			return nlp.Anneal(context.Background(), ev, inst, init, nlp.Options{Seed: 1, MaxIters: 4000})
 		}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {

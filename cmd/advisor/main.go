@@ -163,7 +163,7 @@ func run() error {
 	seed := flag.Int64("seed", 1, "solver random seed")
 	budget := flag.Duration("budget", 0, "solve time budget (0 = unlimited); on exhaustion the best layout found so far is reported")
 	workers := flag.Int("workers", 0, "solver restart parallelism (0 = auto, 1 = serial); the layout is identical at any worker count")
-	portfolio := flag.Bool("portfolio", false, "race the transfer, anneal and projected-gradient solvers concurrently and keep the best layout")
+	portfolio := flag.Bool("portfolio", false, "race the transfer, anneal and projected-gradient solvers concurrently and regularize the layout with the lowest pre-regularization objective (can end worse than transfer alone)")
 	nonRegular := flag.Bool("non-regular", false, "skip regularization (solver output may use uneven fractions)")
 	showUtils := flag.Bool("utilizations", false, "also print predicted per-target utilizations")
 	execute := flag.Bool("execute", false, "simulate the online migration from the current layout to the recommendation")

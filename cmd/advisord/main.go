@@ -58,6 +58,12 @@ func run() error {
 	cli.Register(flag.CommandLine)
 	flag.Parse()
 
+	// The daemon owns SIGINT/SIGTERM from the start, so a signal that
+	// arrives while tenants are restored, or right after the listening
+	// line, still takes the graceful path below.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	sess, err := cli.Start(os.Stderr)
 	if err != nil {
 		return err
@@ -95,8 +101,6 @@ func run() error {
 	go func() { errc <- httpSrv.Serve(ln) }()
 	fmt.Printf("advisord listening on %s\n", ln.Addr())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case got := <-sig:
 		fmt.Fprintf(os.Stderr, "advisord: %v, shutting down\n", got)

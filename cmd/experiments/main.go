@@ -21,7 +21,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strings"
+	"sync"
+	"syscall"
 	"time"
 
 	"dblayout/internal/experiments"
@@ -45,9 +48,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	defer func() {
+	closeSession := sync.OnceFunc(func() {
 		if cerr := sess.Close(); cerr != nil {
 			fmt.Fprintln(os.Stderr, "experiments: closing observability outputs:", cerr)
+		}
+	})
+	defer closeSession()
+	// A killed run still leaves its metrics, trace and profiles: on
+	// SIGINT/SIGTERM restore the default disposition (so a second signal
+	// kills at once), close the session, then re-deliver the signal so the
+	// process dies as it would have (exit 143 on SIGTERM).
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		got := <-sig
+		signal.Stop(sig)
+		closeSession()
+		if p, err := os.FindProcess(os.Getpid()); err == nil {
+			_ = p.Signal(got)
 		}
 	}()
 
@@ -219,7 +237,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		fmt.Println("Fleet-scale study — sparse pruned transfer vs. hierarchical decomposition:")
+		fmt.Println("Fleet-scale study — sparse pruned transfer search:")
 		fmt.Print(experiments.FleetTable(rows))
 		return nil
 	})

@@ -173,9 +173,12 @@ type Options struct {
 	Workers int
 	// Portfolio races the transfer, anneal and (when the problem has no
 	// administrative constraints) projected-gradient solvers concurrently
-	// from each starting layout and keeps the best result, instead of
-	// running the transfer solver alone. Ties break toward the fixed
-	// solver order, so the outcome is still deterministic.
+	// from each starting layout, instead of running the transfer solver
+	// alone, and continues with the racer layout of lowest solver
+	// objective — the objective before regularization. The regularized
+	// recommendation can therefore end worse than a transfer-only solve.
+	// Ties break toward the fixed solver order, so the outcome is still
+	// deterministic.
 	Portfolio bool
 	// SolveBudget caps the wall-clock time spent in solver phases. When it
 	// runs out the advisor completes with its best layout so far and marks

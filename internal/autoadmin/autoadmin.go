@@ -155,121 +155,66 @@ func Recommend(queries []Query, n, m int, cfg Config) (*layout.Layout, error) {
 	return l, nil
 }
 
-// greedyAssign is the shared core of the partitioning step and of
-// co-access clustering: it places n weighted nodes into m groups in
-// decreasing node-weight order (stable, so ties keep ascending node id),
-// sending each node to the admissible group with the lowest score
+// partition implements step 1: single-target placement that separates
+// heavily co-accessed objects while balancing estimated load, respecting
+// capacity. Objects are placed in decreasing node-weight order (stable, so
+// ties keep ascending object id), each on the target with room for it that
+// has the lowest score
 //
-//	score(i, g) = sign * aff(i, g)/norm + balance * load(g)/norm
+//	score(i, j) = aff(i, j)/norm + BalanceWeight * load(j)/norm
 //
-// where aff(i, g) is the summed co-access edge weight between i and the
-// nodes already placed in g. sign is +1 to separate co-accessed nodes
-// (AutoAdmin's partitioning) and -1 to attract them into the same group
-// (cluster decomposition). Affinities are maintained incrementally —
-// forEachEdge is invoked once per placed node, so the whole assignment is
-// O(n*m + edges) rather than the O(n^2 * m) of rescanning placed nodes per
-// candidate. admissible (optional) vetoes groups, e.g. on capacity; onPlace
-// (optional) observes each placement. Ties on score keep the lowest group
-// id, which makes the result deterministic for a fixed input.
-func greedyAssign(n, m int, node []float64, forEachEdge func(i int, f func(k int, w float64)), attract bool, balance float64, admissible func(i, g int) bool, onPlace func(i, g int)) ([]int, error) {
-	order := make([]int, n)
+// where aff(i, j) is the summed co-access edge weight between i and the
+// objects already placed on j. Affinities are maintained incrementally —
+// each placed object's edges are visited once — so the whole assignment is
+// O(n*m + edges) rather than the O(n^2 * m) of rescanning placed objects per
+// candidate. Ties on score keep the lowest target id, which makes the result
+// deterministic for a fixed input.
+func partition(g *graph, m int, cfg Config) ([]int, error) {
+	order := make([]int, g.n)
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return node[order[a]] > node[order[b]] })
+	sort.SliceStable(order, func(a, b int) bool { return g.node[order[a]] > g.node[order[b]] })
 
 	var totalLoad float64
-	for _, w := range node {
+	for _, w := range g.node {
 		totalLoad += w
 	}
 	norm := totalLoad/float64(m) + 1
-	sign := 1.0
-	if attract {
-		sign = -1
-	}
 
-	assign := make([]int, n)
-	for i := range assign {
-		assign[i] = -1
-	}
-	load := make([]float64, m)
-	aff := make([]float64, n*m)
-
-	for _, i := range order {
-		best, bestScore := -1, 0.0
-		for g := 0; g < m; g++ {
-			if admissible != nil && !admissible(i, g) {
-				continue
-			}
-			score := sign*aff[i*m+g]/norm + balance*load[g]/norm
-			if best < 0 || score < bestScore {
-				best, bestScore = g, score
-			}
-		}
-		if best < 0 {
-			return nil, fmt.Errorf("autoadmin: no admissible group for node %d", i)
-		}
-		assign[i] = best
-		load[best] += node[i]
-		forEachEdge(i, func(k int, w float64) {
-			if assign[k] < 0 {
-				aff[k*m+best] += w
-			}
-		})
-		if onPlace != nil {
-			onPlace(i, best)
-		}
-	}
-	return assign, nil
-}
-
-// CoAccessClusters groups n objects into at most k clusters by co-access
-// affinity: heavily co-accessed objects are attracted into the same cluster
-// while the balance term keeps cluster weights roughly even. weight[i] is
-// object i's total load (e.g. its request rate); forEachEdge iterates i's
-// non-zero co-access partners with their edge weights. balance <= 0 selects
-// the default (0.5). The result is deterministic for a fixed input; k must
-// be at least 1.
-//
-// This is AutoAdmin's partitioning greedy run in attract mode — the
-// hierarchical fleet-scale solver uses it to decompose a problem into
-// near-independent subproblems (objects that never co-run land in clusters
-// by load balance alone).
-func CoAccessClusters(n, k int, weight []float64, forEachEdge func(i int, f func(k int, w float64)), balance float64) []int {
-	if balance <= 0 {
-		balance = 0.5
-	}
-	assign, err := greedyAssign(n, k, weight, forEachEdge, true, balance, nil, nil)
-	if err != nil {
-		// Unreachable: with no admissibility predicate every group is
-		// admissible, so the greedy always places every node.
-		panic(err)
-	}
-	return assign
-}
-
-// partition implements step 1: single-target placement that separates
-// heavily co-accessed objects while balancing estimated load, respecting
-// capacity. Objects are placed in decreasing node-weight order.
-func partition(g *graph, m int, cfg Config) ([]int, error) {
 	free := make([]float64, m)
 	for j := range free {
 		free[j] = float64(cfg.Capacities[j])
 	}
-	assign, err := greedyAssign(g.n, m, g.node,
-		func(i int, f func(k int, w float64)) {
-			for k, w := range g.edge[i] {
-				if w > 0 {
-					f(k, w)
-				}
+	assign := make([]int, g.n)
+	for i := range assign {
+		assign[i] = -1
+	}
+	load := make([]float64, m)
+	aff := make([]float64, g.n*m)
+
+	for _, i := range order {
+		best, bestScore := -1, 0.0
+		for j := 0; j < m; j++ {
+			if free[j] < float64(cfg.Sizes[i]) {
+				continue
 			}
-		},
-		false, cfg.BalanceWeight,
-		func(i, j int) bool { return free[j] >= float64(cfg.Sizes[i]) },
-		func(i, j int) { free[j] -= float64(cfg.Sizes[i]) },
-	)
-	if err != nil {
-		return nil, fmt.Errorf("autoadmin: no target has capacity for every object (%w)", err)
+			score := aff[i*m+j]/norm + cfg.BalanceWeight*load[j]/norm
+			if best < 0 || score < bestScore {
+				best, bestScore = j, score
+			}
+		}
+		if best < 0 {
+			return nil, fmt.Errorf("autoadmin: no target has capacity for object %d", i)
+		}
+		assign[i] = best
+		load[best] += g.node[i]
+		for k, w := range g.edge[i] {
+			if w > 0 && assign[k] < 0 {
+				aff[k*m+best] += w
+			}
+		}
+		free[best] -= float64(cfg.Sizes[i])
 	}
 	return assign, nil
 }

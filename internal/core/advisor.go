@@ -30,26 +30,17 @@ type Solver int
 const (
 	// SolverTransfer is the default scalable mass-transfer local search.
 	SolverTransfer Solver = iota
-	// SolverProjectedGradient is finite-difference projected gradient
-	// descent; a cross-check for small instances.
-	SolverProjectedGradient
 	// SolverAnneal is simulated annealing over transfer moves.
 	SolverAnneal
 	// SolverPortfolio races the transfer, anneal and (when the instance
 	// has no administrative constraints) projected-gradient solvers
-	// concurrently from the same initial layout and keeps the best
-	// result. Ties on the objective break toward the earlier solver in
-	// that fixed order, so the outcome is deterministic.
+	// concurrently from the same initial layout and continues with the
+	// racer layout of lowest solver objective. That is the objective
+	// before regularization, so the regularized recommendation can end
+	// worse than a transfer-only solve. Ties on the objective break
+	// toward the earlier solver in that fixed order, so the outcome is
+	// deterministic.
 	SolverPortfolio
-	// SolverHierarchical decomposes fleet-scale problems (tens of
-	// thousands of objects) along their co-access structure: cluster
-	// objects, partition targets among the clusters, solve each
-	// subproblem independently with the transfer search, then reconcile
-	// globally with a bounded pruned pass. Problems the decomposition
-	// cannot handle (administrative constraints, a single cluster, an
-	// infeasible target split) fall back to the flat transfer search.
-	// See Options.Hierarchical.
-	SolverHierarchical
 )
 
 // String names the solver.
@@ -57,14 +48,10 @@ func (s Solver) String() string {
 	switch s {
 	case SolverTransfer:
 		return "transfer"
-	case SolverProjectedGradient:
-		return "projected-gradient"
 	case SolverAnneal:
 		return "anneal"
 	case SolverPortfolio:
 		return "portfolio"
-	case SolverHierarchical:
-		return "hierarchical"
 	}
 	return fmt.Sprintf("solver(%d)", int(s))
 }
@@ -77,10 +64,6 @@ type Options struct {
 	Solver Solver
 	// NLP tunes the chosen solver.
 	NLP nlp.Options
-	// Anneal tunes SolverAnneal (ignored otherwise).
-	Anneal nlp.AnnealOptions
-	// Hierarchical tunes SolverHierarchical (ignored otherwise).
-	Hierarchical HierarchicalOptions
 	// SkipRegularization leaves the solver's (possibly non-regular)
 	// layout as the final recommendation, for layout mechanisms that can
 	// implement arbitrary fractions.
@@ -416,9 +399,8 @@ func (a *Advisor) oneRound(r *run, init *layout.Layout, startIdx, round int) (*R
 // safeSolve dispatches to the configured solver with the remaining solve
 // budget, converting cost-model panics into ErrModelFailure-classified
 // errors (including panics raised on solver worker goroutines, which the
-// nlp worker pool re-raises on this goroutine). Solver misconfiguration
-// (unknown solver, invalid annealing schedule, unsupported constraints)
-// comes back as ordinary errors.
+// nlp worker pool re-raises on this goroutine). An unknown solver comes
+// back as an ordinary error.
 func (a *Advisor) safeSolve(r *run, init *layout.Layout, startIdx, round int) (res nlp.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -445,48 +427,13 @@ func (a *Advisor) safeSolve(r *run, init *layout.Layout, startIdx, round int) (r
 	}
 	switch a.opt.Solver {
 	case SolverTransfer:
-		res = nlp.TransferSearch(r.ctx, a.ev, a.inst, init, nopt)
-	case SolverProjectedGradient:
-		if a.inst.Constraints != nil {
-			return res, fmt.Errorf("core: the projected-gradient solver does not support administrative constraints; use the transfer solver")
-		}
-		res = nlp.ProjectedGradient(r.ctx, a.ev, a.inst, init, nopt)
+		return nlp.TransferSearch(r.ctx, a.ev, a.inst, init, nopt), nil
 	case SolverAnneal:
-		res, err = nlp.Anneal(r.ctx, a.ev, a.inst, init, a.annealOptions(nopt))
-		if err != nil {
-			return res, fmt.Errorf("core: anneal: %w", err)
-		}
+		return nlp.Anneal(r.ctx, a.ev, a.inst, init, nopt), nil
 	case SolverPortfolio:
-		res, err = a.portfolioSolve(r, init, nopt)
-		if err != nil {
-			return res, err
-		}
-	case SolverHierarchical:
-		res, err = a.hierarchicalSolve(r, init, nopt)
-		if err != nil {
-			return res, err
-		}
-	default:
-		return res, fmt.Errorf("core: unknown solver %v", a.opt.Solver)
+		return a.portfolioSolve(r, init, nopt), nil
 	}
-	return res, nil
-}
-
-// annealOptions merges the advisor's anneal tuning with the per-solve nlp
-// options. A custom schedule (Anneal.MaxIters set) keeps its own iteration
-// and restart tuning but still inherits the derived seed, remaining budget,
-// worker width, and trace hook from the solve at hand.
-func (a *Advisor) annealOptions(nopt nlp.Options) nlp.AnnealOptions {
-	aopt := a.opt.Anneal
-	if aopt.MaxIters == 0 {
-		aopt.Options = nopt
-		return aopt
-	}
-	aopt.Seed = nopt.Seed
-	aopt.Budget = nopt.Budget
-	aopt.Workers = nopt.Workers
-	aopt.Trace = nopt.Trace
-	return aopt
+	return res, fmt.Errorf("core: unknown solver %v", a.opt.Solver)
 }
 
 // safeRegularize regularizes (and optionally polishes) the solver layout,

@@ -69,17 +69,6 @@ func TestAdvisorConstraintsWithAnneal(t *testing.T) {
 	}
 }
 
-func TestProjectedGradientRejectsConstraints(t *testing.T) {
-	inst := constrainedInstance()
-	adv, err := New(inst, Options{Solver: SolverProjectedGradient})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := adv.Recommend(); err == nil {
-		t.Fatal("projected gradient should reject constrained instances")
-	}
-}
-
 func TestRegularizeHonorsConstraints(t *testing.T) {
 	inst := constrainedInstance()
 	ev := layout.NewEvaluator(inst)

@@ -96,7 +96,7 @@ func TestAdvisorMultiStart(t *testing.T) {
 
 func TestAdvisorSolverVariants(t *testing.T) {
 	inst := layouttest.Instance(4)
-	for _, solver := range []Solver{SolverTransfer, SolverProjectedGradient, SolverAnneal} {
+	for _, solver := range []Solver{SolverTransfer, SolverAnneal, SolverPortfolio} {
 		adv, err := New(inst, Options{Solver: solver, NLP: nlp.Options{Seed: 2, MaxIters: 500}})
 		if err != nil {
 			t.Fatal(err)

@@ -70,17 +70,3 @@ func TestAdvisorTraceHook(t *testing.T) {
 		}
 	}
 }
-
-// TestAnnealOptionErrorsSurface checks invalid anneal schedules surface as
-// errors from the advisor rather than being silently clamped.
-func TestAnnealOptionErrorsSurface(t *testing.T) {
-	inst := layouttest.Instance(3)
-	adv, err := New(inst, Options{Solver: SolverAnneal,
-		Anneal: nlp.AnnealOptions{Options: nlp.Options{MaxIters: 10}, Cooling: 1.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := adv.Recommend(); err == nil {
-		t.Fatal("invalid anneal cooling accepted")
-	}
-}

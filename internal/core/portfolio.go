@@ -1,20 +1,23 @@
 package core
 
 import (
-	"fmt"
+	"context"
 	"sync"
 
 	"dblayout/internal/layout"
 	"dblayout/internal/nlp"
 )
 
+// racer is the call shape every nlp solver shares.
+type racer func(ctx context.Context, ev nlp.Evaluator, inst *layout.Instance, init *layout.Layout, opt nlp.Options) nlp.Result
+
 // portfolioRacers returns the solvers SolverPortfolio races, in the fixed
 // order that breaks objective ties. Projected gradient joins only when the
 // instance has no administrative constraints (it cannot honour them).
-func (a *Advisor) portfolioRacers() []Solver {
-	racers := []Solver{SolverTransfer, SolverAnneal}
+func (a *Advisor) portfolioRacers() []racer {
+	racers := []racer{nlp.TransferSearch, nlp.Anneal}
 	if a.inst.Constraints == nil {
-		racers = append(racers, SolverProjectedGradient)
+		racers = append(racers, nlp.ProjectedGradient)
 	}
 	return racers
 }
@@ -24,7 +27,6 @@ func (a *Advisor) portfolioRacers() []Solver {
 // user hook directly — it is not safe for concurrent use).
 type racerOutcome struct {
 	res    nlp.Result
-	err    error
 	events []nlp.TraceEvent
 }
 
@@ -47,7 +49,7 @@ type racerOutcome struct {
 // reproducible from the seed alone. Cost-model panics on racer goroutines
 // are captured and re-raised here so safeSolve's recover classifies them as
 // ErrModelFailure exactly as in a serial solve.
-func (a *Advisor) portfolioSolve(r *run, init *layout.Layout, nopt nlp.Options) (nlp.Result, error) {
+func (a *Advisor) portfolioSolve(r *run, init *layout.Layout, nopt nlp.Options) nlp.Result {
 	racers := a.portfolioRacers()
 	userTrace := nopt.Trace
 	outs := make([]racerOutcome, len(racers))
@@ -57,9 +59,9 @@ func (a *Advisor) portfolioSolve(r *run, init *layout.Layout, nopt nlp.Options) 
 		panicMu  sync.Mutex
 		panicVal interface{}
 	)
-	for i, s := range racers {
+	for i, solve := range racers {
 		wg.Add(1)
-		go func(i int, s Solver) {
+		go func(i int, solve racer) {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
@@ -75,32 +77,20 @@ func (a *Advisor) portfolioSolve(r *run, init *layout.Layout, nopt nlp.Options) 
 				out := &outs[i]
 				opt.Trace = func(ev nlp.TraceEvent) { out.events = append(out.events, ev) }
 			}
-			switch s {
-			case SolverTransfer:
-				outs[i].res = nlp.TransferSearch(r.ctx, a.ev, a.inst, init, opt)
-			case SolverProjectedGradient:
-				outs[i].res = nlp.ProjectedGradient(r.ctx, a.ev, a.inst, init, opt)
-			case SolverAnneal:
-				outs[i].res, outs[i].err = nlp.Anneal(r.ctx, a.ev, a.inst, init, a.annealOptions(opt))
-			}
-		}(i, s)
+			outs[i].res = solve(r.ctx, a.ev, a.inst, init, opt)
+		}(i, solve)
 	}
 	wg.Wait()
 	if panicVal != nil {
 		panic(panicVal)
 	}
-	for i, o := range outs {
-		if o.err != nil {
-			return nlp.Result{}, fmt.Errorf("core: portfolio %v: %w", racers[i], o.err)
-		}
-	}
-	return mergeRace(racers, outs, userTrace), nil
+	return mergeRace(outs, userTrace)
 }
 
 // mergeRace folds the racers' outcomes into one Result and replays buffered
 // trace events as a single well-formed stream. Racer order is fixed, so the
 // merge is deterministic.
-func mergeRace(racers []Solver, outs []racerOutcome, userTrace func(nlp.TraceEvent)) nlp.Result {
+func mergeRace(outs []racerOutcome, userTrace func(nlp.TraceEvent)) nlp.Result {
 	win := 0
 	for i := 1; i < len(outs); i++ {
 		if outs[i].res.Objective < outs[win].res.Objective {

@@ -23,69 +23,57 @@ type FleetRow struct {
 }
 
 // Fleet runs the fleet-scale study, an extension beyond the paper's largest
-// problems (N=160 x M=40): the pruned flat transfer search and the
-// hierarchical cluster decomposition solve the same block-sparse
-// layouttest.Fleet instance — N=10000 objects on M=1000 targets at full
-// scale, N=800 x M=64 in Quick mode. Regularization runs (its object-load
-// ordering is a single batch pass plus an O(N log N) sort, with candidate
-// stripe widths bounded at fleet scale) and candidate pruning is forced on
-// the flat solve so the quick gate exercises the same code paths the full
-// run does.
+// problems (N=160 x M=40): the pruned flat transfer search solves the
+// block-sparse layouttest.Fleet instance — N=10000 objects on M=1000
+// targets at full scale, N=800 x M=64 in Quick mode. Regularization runs
+// (its object-load ordering is a single batch pass plus an O(N log N) sort,
+// with candidate stripe widths bounded at fleet scale) and candidate
+// pruning is forced so the quick gate exercises the same code paths the
+// full run does.
 func Fleet(cfg *Config) ([]FleetRow, error) {
 	n, m := 10000, 1000
 	if cfg.Quick {
 		n, m = 800, 64
 	}
 	inst := layouttest.Fleet(n, m)
-
-	cases := []struct {
-		name string
-		opt  core.Options
-	}{
-		{"transfer+prune", core.Options{
-			Solver: core.SolverTransfer,
-			NLP:    nlp.Options{PruneObjects: 64, PruneTargets: 16},
-		}},
-		{"hierarchical", core.Options{
-			Solver: core.SolverHierarchical,
-		}},
-	}
-	var out []FleetRow
-	for _, c := range cases {
-		opt := c.opt
-		opt.Rounds = 1
+	const name = "transfer+prune"
+	adv, err := core.New(inst, core.Options{
+		Solver: core.SolverTransfer,
+		NLP: nlp.Options{
+			Seed:         cfg.Seed,
+			Workers:      cfg.Workers,
+			Trace:        cfg.Trace,
+			Restarts:     nlp.NoRestarts,
+			MaxIters:     256,
+			PruneObjects: 64,
+			PruneTargets: 16,
+		},
+		Rounds: 1,
 		// The one-shot Sec. 4.3 regularizer runs (bounded candidate
 		// widths keep it near-linear); the multi-pass polish extension
-		// is still skipped at this scale — its 8 re-placement sweeps
-		// would dominate the whole solve.
-		opt.SkipPolish = true
-		opt.Logger = cfg.Logger
-		opt.NLP.Seed = cfg.Seed
-		opt.NLP.Workers = cfg.Workers
-		opt.NLP.Trace = cfg.Trace
-		opt.NLP.Restarts = nlp.NoRestarts
-		opt.NLP.MaxIters = 256
-		adv, err := core.New(inst, opt)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: fleet %s: %w", c.name, err)
-		}
-		start := time.Now()
-		rec, err := adv.Recommend()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: fleet %s: %w", c.name, err)
-		}
-		out = append(out, FleetRow{
-			Solver:  c.name,
-			N:       n,
-			M:       m,
-			Initial: rec.InitialObjective,
-			Final:   rec.FinalObjective,
-			Elapsed: time.Since(start),
-			Iters:   rec.SolverIters,
-			Evals:   rec.SolverEvals,
-		})
+		// is skipped at this scale — its 8 re-placement sweeps would
+		// dominate the whole solve.
+		SkipPolish: true,
+		Logger:     cfg.Logger,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: fleet %s: %w", name, err)
 	}
-	return out, nil
+	start := time.Now()
+	rec, err := adv.Recommend()
+	if err != nil {
+		return nil, fmt.Errorf("experiments: fleet %s: %w", name, err)
+	}
+	return []FleetRow{{
+		Solver:  name,
+		N:       n,
+		M:       m,
+		Initial: rec.InitialObjective,
+		Final:   rec.FinalObjective,
+		Elapsed: time.Since(start),
+		Iters:   rec.SolverIters,
+		Evals:   rec.SolverEvals,
+	}}, nil
 }
 
 // FleetTable renders the fleet-scale study rows.

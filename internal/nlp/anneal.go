@@ -2,7 +2,6 @@ package nlp
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -10,39 +9,12 @@ import (
 	"dblayout/internal/layout"
 )
 
-// AnnealOptions extends Options with the annealing schedule.
-type AnnealOptions struct {
-	Options
-	// StartTemp is the initial temperature as a fraction of the initial
-	// objective. Zero selects the default (0.10); NaN or negative values
-	// are rejected by Anneal.
-	StartTemp float64
-	// Cooling is the geometric cooling factor per iteration. Zero selects
-	// the default (0.999); values that are NaN, negative, or >= 1 (a
-	// schedule that never cools) are rejected by Anneal.
-	Cooling float64
-}
-
-// withDefaults fills zero fields with the defaults and rejects out-of-range
-// schedules instead of silently clamping them: a NaN or negative temperature
-// and a cooling factor outside (0, 1) are configuration bugs the caller
-// should hear about, not values to be quietly repaired.
-func (o AnnealOptions) withDefaults() (AnnealOptions, error) {
-	o.Options = o.Options.withDefaults()
-	switch {
-	case math.IsNaN(o.StartTemp) || o.StartTemp < 0:
-		return o, fmt.Errorf("nlp: anneal StartTemp %g out of range [0, inf): 0 selects the default", o.StartTemp)
-	case o.StartTemp == 0:
-		o.StartTemp = 0.10
-	}
-	switch {
-	case math.IsNaN(o.Cooling) || o.Cooling < 0 || o.Cooling >= 1:
-		return o, fmt.Errorf("nlp: anneal Cooling %g out of range [0, 1): 0 selects the default", o.Cooling)
-	case o.Cooling == 0:
-		o.Cooling = 0.999
-	}
-	return o, nil
-}
+// The annealing schedule: the start temperature as a fraction of the initial
+// objective, and the geometric cooling factor per iteration.
+const (
+	annealStartTemp = 0.10
+	annealCooling   = 0.999
+)
 
 // Anneal runs simulated annealing over random transfer moves. It explores
 // more aggressively than TransferSearch at the cost of more evaluations, and
@@ -56,19 +28,15 @@ func (o AnnealOptions) withDefaults() (AnnealOptions, error) {
 // all chains wins. Each chain draws from its own seed stream, so the run is
 // reproducible from Options.Seed alone at any worker count (Seed 0 is the
 // deterministic default seed; the global math/rand state is never
-// consulted). An error is returned for out-of-range annealing schedules; see
-// AnnealOptions.
+// consulted).
 //
 // The annealing loops honour ctx and Options.Budget, polling every few dozen
 // moves (annealing moves are two evaluations each, so per-move checks would
 // dominate); on cancellation or budget exhaustion the solve stops and
 // returns the best layout so far with Result.Stop set. A nil ctx is treated
 // as context.Background().
-func Anneal(ctx context.Context, ev Evaluator, inst *layout.Instance, init *layout.Layout, opt AnnealOptions) (Result, error) {
-	opt, err := opt.withDefaults()
-	if err != nil {
-		return Result{}, err
-	}
+func Anneal(ctx context.Context, ev Evaluator, inst *layout.Instance, init *layout.Layout, opt Options) Result {
+	opt = opt.withDefaults()
 	start := time.Now()
 	deadline := budgetDeadline(opt.Budget)
 	lim := newLimiterAt(ctx, deadline).every(64)
@@ -83,11 +51,11 @@ func Anneal(ctx context.Context, ev Evaluator, inst *layout.Instance, init *layo
 
 	var outs []restartOutcome
 	if lim.stopped == nil {
-		outs = runRestarts(ctx, deadline, opt.Options, func(r int, rlim *limiter) restartOutcome {
+		outs = runRestarts(ctx, deadline, opt, func(r int, rlim *limiter) restartOutcome {
 			rlim.every(64)
 			rng := rand.New(rand.NewSource(SubSeed(opt.Seed, StreamAnneal, int64(r))))
 			rs := newTransferState(ev, inst, init.Clone())
-			rs.perturb(rng, opt.Options)
+			rs.perturb(rng, opt)
 			rtk := newRestartTracker("anneal", rs.objective(), opt.Trace != nil)
 			var rr Result
 			bl, bo := annealChain(rs, rng, opt, rtk, rlim, r, &rr)
@@ -104,17 +72,17 @@ func Anneal(ctx context.Context, ev Evaluator, inst *layout.Instance, init *layo
 	res.Objective = bestObj
 	res.Elapsed = time.Since(start)
 	tk.finish(&res)
-	return res, nil
+	return res
 }
 
 // annealChain runs one full annealing schedule on s, recording iterations on
 // tk (tagged with the restart index) and effort on res. It returns the best
 // layout the chain visited and its objective.
-func annealChain(s *transferState, rng *rand.Rand, opt AnnealOptions, tk *tracker, lim *limiter, restart int, res *Result) (*layout.Layout, float64) {
+func annealChain(s *transferState, rng *rand.Rand, opt Options, tk *tracker, lim *limiter, restart int, res *Result) (*layout.Layout, float64) {
 	cur := s.objective()
 	best := s.l.Clone()
 	bestObj := cur
-	temp := opt.StartTemp * cur
+	temp := annealStartTemp * cur
 
 	movable := opt.movableSet(s.l.N)
 	for iter := 0; iter < opt.MaxIters; iter++ {
@@ -138,7 +106,7 @@ func annealChain(s *transferState, rng *rand.Rand, opt AnnealOptions, tk *tracke
 			}
 		}
 		tk.note(restart, cur, accepted, temp, s.evals)
-		temp *= opt.Cooling
+		temp *= annealCooling
 	}
 	return best, bestObj
 }

@@ -42,10 +42,7 @@ func TestAnnealMovableObjects(t *testing.T) {
 	inst := layouttest.Instance(4)
 	ev := layout.NewEvaluator(inst)
 	init, _ := layout.InitialLayout(inst)
-	res, err := Anneal(context.Background(), ev, inst, init, AnnealOptions{Options: Options{Seed: 3, MaxIters: 2000, MovableObjects: []int{2, 3}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Anneal(context.Background(), ev, inst, init, Options{Seed: 3, MaxIters: 2000, MovableObjects: []int{2, 3}})
 	for _, i := range []int{0, 1} {
 		for j := 0; j < 4; j++ {
 			if res.Layout.At(i, j) != init.At(i, j) {
@@ -63,15 +60,5 @@ func TestOptionsDefaults(t *testing.T) {
 	// Explicit negative restarts mean "no restarts", not the default.
 	if o := (Options{Restarts: -1}).withDefaults(); o.Restarts != 0 {
 		t.Fatalf("Restarts=-1 should mean none, got %d", o.Restarts)
-	}
-}
-
-func TestAnnealOptionsDefaults(t *testing.T) {
-	o, err := AnnealOptions{}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.StartTemp <= 0 || o.Cooling <= 0 || o.Cooling >= 1 {
-		t.Fatalf("anneal defaults not applied: %+v", o)
 	}
 }

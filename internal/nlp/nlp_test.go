@@ -187,10 +187,7 @@ func TestAnnealImproves(t *testing.T) {
 	ev := layout.NewEvaluator(inst)
 	init, _ := layout.InitialLayout(inst)
 	start := ev.MaxUtilization(init)
-	res, err := Anneal(context.Background(), ev, inst, init, AnnealOptions{Options: Options{Seed: 3, MaxIters: 4000}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Anneal(context.Background(), ev, inst, init, Options{Seed: 3, MaxIters: 4000})
 	solveCheck(t, inst, res, start)
 	if res.Objective >= start {
 		t.Fatalf("no improvement: %g -> %g", start, res.Objective)

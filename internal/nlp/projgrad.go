@@ -14,7 +14,9 @@ import (
 // Euclidean projection of every row onto the probability simplex after each
 // step and a capacity-repair pass. It evaluates O(N*M) target utilizations
 // per gradient, so it is intended for small and mid-size instances and as a
-// cross-check on TransferSearch.
+// cross-check on TransferSearch. It does not honour administrative
+// constraints (Instance.Constraints); constrained instances need
+// TransferSearch or Anneal.
 //
 // The base descent is fully deterministic. Options.Restarts re-descends from
 // that many randomly perturbed copies of the initial layout (each from its

@@ -48,13 +48,7 @@ func solverCases() []solverCase {
 	return []solverCase{
 		{name: "transfer", solve: TransferSearch},
 		{name: "projgrad", slow: true, solve: ProjectedGradient},
-		{name: "anneal", solve: func(ctx context.Context, ev Evaluator, inst *layout.Instance, init *layout.Layout, opt Options) Result {
-			res, err := Anneal(ctx, ev, inst, init, AnnealOptions{Options: opt})
-			if err != nil {
-				panic(err)
-			}
-			return res
-		}},
+		{name: "anneal", solve: Anneal},
 	}
 }
 

@@ -10,13 +10,12 @@ import "dblayout/internal/seed"
 // Stream identities for SubSeed's first path element; see the registry in
 // internal/seed for the full list and the rules for adding new streams.
 const (
-	StreamTransfer  = seed.StreamTransfer
-	StreamAnneal    = seed.StreamAnneal
-	StreamProjGrad  = seed.StreamProjGrad
-	StreamAdvisor   = seed.StreamAdvisor
-	StreamReplay    = seed.StreamReplay
-	StreamRepair    = seed.StreamRepair
-	StreamHierarchy = seed.StreamHierarchy
+	StreamTransfer = seed.StreamTransfer
+	StreamAnneal   = seed.StreamAnneal
+	StreamProjGrad = seed.StreamProjGrad
+	StreamAdvisor  = seed.StreamAdvisor
+	StreamReplay   = seed.StreamReplay
+	StreamRepair   = seed.StreamRepair
 )
 
 // SubSeed derives the seed of an independent pseudo-random stream from a

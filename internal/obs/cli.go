@@ -7,10 +7,8 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"syscall"
 	"time"
 )
 
@@ -63,7 +61,6 @@ type Session struct {
 	traceFile *os.File
 	cpuFile   *os.File
 	server    *http.Server
-	sig       chan os.Signal
 	flushStop chan struct{}
 	flushDone chan struct{}
 }
@@ -105,31 +102,6 @@ func (c *CLI) Start(logDst io.Writer) (*Session, error) {
 			s.Logger.Info("serving metrics", "addr", s.Addr)
 		}
 	}
-	if c.MetricsOut != "" || c.Listen != "" {
-		// A killed run should still leave a usable metrics file and not
-		// sever in-flight scrapes: flush and gracefully drain the listener
-		// on SIGINT/SIGTERM, then restore the default disposition and
-		// re-deliver the signal so the process dies as it would have.
-		// The goroutines capture the channels and server locally: Close
-		// nils the Session fields, and the fields must not be read
-		// concurrently.
-		sig := make(chan os.Signal, 1)
-		s.sig = sig
-		srv := s.server
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			got, ok := <-sig
-			if !ok {
-				return
-			}
-			s.flushMetrics()
-			_ = Shutdown(srv, 2*time.Second)
-			signal.Stop(sig)
-			if p, err := os.FindProcess(os.Getpid()); err == nil {
-				_ = p.Signal(got)
-			}
-		}()
-	}
 	if c.MetricsOut != "" {
 		if c.MetricsFlush > 0 {
 			stop, done := make(chan struct{}), make(chan struct{})
@@ -168,8 +140,8 @@ func (c *CLI) Start(logDst io.Writer) (*Session, error) {
 // flushMetrics atomically rewrites the -metrics-out file: the exposition is
 // written to a sibling temp file and renamed into place, so a reader (or a
 // kill arriving mid-write) never sees a torn file. Safe to call concurrently
-// from the ticker, the signal handler, and Close — the registry serializes
-// reads and rename is atomic.
+// from the ticker and Close — the registry serializes reads and rename is
+// atomic.
 func (s *Session) flushMetrics() error {
 	out := s.cli.MetricsOut
 	if s.Registry == nil || out == "" {
@@ -212,11 +184,6 @@ func (s *Session) Close() error {
 		<-s.flushDone
 		s.flushStop = nil
 	}
-	if s.sig != nil {
-		signal.Stop(s.sig)
-		close(s.sig)
-		s.sig = nil
-	}
 	if s.cli.MemProfile != "" {
 		f, err := os.Create(s.cli.MemProfile)
 		if err != nil {
@@ -229,8 +196,7 @@ func (s *Session) Close() error {
 		s.cli.MemProfile = ""
 	}
 	// flushMetrics is idempotent, so a double Close just rewrites the same
-	// file; the path is never cleared because the signal goroutine may
-	// still be reading it.
+	// file.
 	keep(s.flushMetrics())
 	if s.server != nil {
 		if s.cli.ListenHold > 0 {

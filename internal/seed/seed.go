@@ -16,7 +16,9 @@ package seed
 
 // Stream identities for Sub's first path element. New consumers must add a
 // constant here rather than passing ad-hoc literals, so this registry stays
-// the single place where stream separation is audited.
+// the single place where stream separation is audited. Add and retire
+// constants only at the end of the block: a value change re-seeds that
+// stream, and with it every layout, replay and scenario drawn from it.
 const (
 	// StreamTransfer feeds TransferSearch's per-restart perturbations.
 	StreamTransfer int64 = iota + 1
@@ -41,10 +43,6 @@ const (
 	// StreamChaos derives the per-scenario streams of the controller chaos
 	// campaign (workload synthesis, fault schedules, crash points).
 	StreamChaos
-	// StreamHierarchy derives the per-cluster solver seeds of the
-	// hierarchical fleet-scale decomposition (element -1 seeds the global
-	// reconciliation pass).
-	StreamHierarchy
 )
 
 // Sub derives the seed of an independent pseudo-random stream from a base
