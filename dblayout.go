@@ -174,16 +174,16 @@ type Options struct {
 	// Portfolio races the transfer, anneal and (when the problem has no
 	// administrative constraints) projected-gradient solvers concurrently
 	// from each starting layout, instead of running the transfer solver
-	// alone, and continues with the racer layout of lowest solver
-	// objective — the objective before regularization. The regularized
-	// recommendation can therefore end worse than a transfer-only solve.
-	// Ties break toward the fixed solver order, so the outcome is still
-	// deterministic.
+	// alone, and continues with the racer whose layout ends lowest after
+	// the round's own regularize and polish (the raw solver objective when
+	// SkipRegularization is set). Ties break toward the fixed solver
+	// order, so the outcome is still deterministic.
 	Portfolio bool
-	// SolveBudget caps the wall-clock time spent in solver phases. When it
-	// runs out the advisor completes with its best layout so far and marks
-	// the recommendation Degraded (cause ErrBudgetExceeded) instead of
-	// failing. Zero means unbounded.
+	// SolveBudget sets a deadline for the whole recommendation: solves and
+	// polish sweeps stop when it passes, while the one-shot regularizer
+	// still runs so the layout stays regular. The advisor then completes
+	// with its best layout so far and marks the recommendation Degraded
+	// (cause ErrBudgetExceeded) instead of failing. Zero means unbounded.
 	SolveBudget time.Duration
 }
 

@@ -20,6 +20,7 @@ import (
 
 	"dblayout/internal/layout"
 	"dblayout/internal/nlp"
+	"dblayout/internal/seed"
 )
 
 // Solver selects the optimization strategy standing in for the paper's
@@ -35,11 +36,11 @@ const (
 	// SolverPortfolio races the transfer, anneal and (when the instance
 	// has no administrative constraints) projected-gradient solvers
 	// concurrently from the same initial layout and continues with the
-	// racer layout of lowest solver objective. That is the objective
-	// before regularization, so the regularized recommendation can end
-	// worse than a transfer-only solve. Ties on the objective break
-	// toward the earlier solver in that fixed order, so the outcome is
-	// deterministic.
+	// racer whose layout ends lowest after the round's own
+	// post-processing: regularized and, unless SkipPolish, polished (the
+	// raw solver objective under SkipRegularization). A racer whose
+	// post-processing fails never wins. Ties break toward the earlier
+	// solver in that fixed order, so the outcome is deterministic.
 	SolverPortfolio
 )
 
@@ -84,12 +85,14 @@ type Options struct {
 	// after regularization (an extension beyond the paper; see
 	// PolishRegular). Exposed for ablation.
 	SkipPolish bool
-	// SolveBudget caps the wall-clock time the advisor spends in solver
-	// phases, summed across every multi-start and solve/regularize round.
-	// When it runs out mid-solve, the solver stops at its next periodic
-	// check, remaining solves are skipped, and the advisor completes with
-	// the best layout found so far — marked Degraded with cause
-	// ErrBudgetExceeded. Zero means unbounded.
+	// SolveBudget sets a deadline for the whole advise, counted from the
+	// start of RecommendContext across every multi-start and
+	// solve/regularize round. When it passes mid-solve, the solver stops
+	// at its next periodic check and remaining solves are skipped; a
+	// polish pass stops between objects. The one-shot Sec. 4.3
+	// regularizer still runs, so the recommendation stays regular. The
+	// advisor completes with the best layout found so far — marked
+	// Degraded with cause ErrBudgetExceeded. Zero means unbounded.
 	SolveBudget time.Duration
 	// Logger, when non-nil, receives a span per advisor phase
 	// (seed -> solve -> regularize -> validate) with durations and
@@ -371,8 +374,9 @@ func (a *Advisor) oneRound(r *run, init *layout.Layout, startIdx, round int) (*R
 	}
 
 	start = time.Now()
-	reg, err := a.safeRegularize(rec, res.Layout)
+	reg, polish, cut, err := a.safeRegularize(r, res.Layout)
 	rec.RegularizeTime = time.Since(start)
+	rec.PolishTime = polish
 	if err != nil {
 		// Regularization failed (or the model failed inside it). The
 		// solver layout may be non-regular, so fall back to the
@@ -382,6 +386,9 @@ func (a *Advisor) oneRound(r *run, init *layout.Layout, startIdx, round int) (*R
 		rec.Final = init.Clone()
 		rec.FinalObjective = rec.InitialObjective
 		return rec, nil
+	}
+	if cut {
+		r.note("regularize", "best-so-far", ErrBudgetExceeded)
 	}
 	rec.Final = reg
 	if rec.FinalObjective, err = a.safeObjective(reg); err != nil {
@@ -411,7 +418,7 @@ func (a *Advisor) safeSolve(r *run, init *layout.Layout, startIdx, round int) (r
 	// Each (initial layout, round) solve gets its own seed stream; the
 	// solvers further derive per-restart streams below it, so no two
 	// perturbation sequences in one recommendation can collide.
-	nopt.Seed = nlp.SubSeed(a.opt.NLP.Seed, nlp.StreamAdvisor, int64(startIdx), int64(round))
+	nopt.Seed = seed.Sub(a.opt.NLP.Seed, seed.StreamAdvisor, int64(startIdx), int64(round))
 	if !r.deadline.IsZero() {
 		left := time.Until(r.deadline)
 		if left <= 0 {
@@ -436,9 +443,11 @@ func (a *Advisor) safeSolve(r *run, init *layout.Layout, startIdx, round int) (r
 	return res, fmt.Errorf("core: unknown solver %v", a.opt.Solver)
 }
 
-// safeRegularize regularizes (and optionally polishes) the solver layout,
-// converting cost-model panics into ErrModelFailure-classified errors.
-func (a *Advisor) safeRegularize(rec *Recommendation, solved *layout.Layout) (reg *layout.Layout, err error) {
+// safeRegularize regularizes the solver layout and, unless SkipPolish,
+// polishes it until the run's deadline, reporting the polish time and
+// whether the deadline cut the polish short. Cost-model panics come back as
+// ErrModelFailure-classified errors.
+func (a *Advisor) safeRegularize(r *run, solved *layout.Layout) (reg *layout.Layout, polish time.Duration, cut bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			reg, err = nil, layout.AsModelFailure(p)
@@ -446,12 +455,12 @@ func (a *Advisor) safeRegularize(rec *Recommendation, solved *layout.Layout) (re
 	}()
 	reg, err = Regularize(a.ev, a.inst, solved)
 	if err != nil {
-		return nil, fmt.Errorf("core: regularization: %w", err)
+		return nil, 0, false, fmt.Errorf("core: regularization: %w", err)
 	}
 	if !a.opt.SkipPolish {
-		polishStart := time.Now()
-		reg = PolishRegular(a.ev, a.inst, reg)
-		rec.PolishTime = time.Since(polishStart)
+		start := time.Now()
+		reg, cut = PolishRegular(a.ev, a.inst, reg, r.deadline)
+		polish = time.Since(start)
 	}
-	return reg, nil
+	return reg, polish, cut, nil
 }

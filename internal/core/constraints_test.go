@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"dblayout/internal/layout"
 	"dblayout/internal/layouttest"
@@ -88,7 +89,7 @@ func TestRegularizeHonorsConstraints(t *testing.T) {
 	if err := inst.ValidateLayout(reg); err != nil {
 		t.Fatalf("regularized layout violates constraints: %v", err)
 	}
-	polished := PolishRegular(ev, inst, reg)
+	polished, _ := PolishRegular(ev, inst, reg, time.Time{})
 	if err := inst.ValidateLayout(polished); err != nil {
 		t.Fatalf("polished layout violates constraints: %v", err)
 	}

@@ -151,6 +151,31 @@ func TestPortfolioDeterministic(t *testing.T) {
 	}
 }
 
+// TestPortfolioNeverWorseThanTransfer pins the portfolio's pick rule: each
+// racer is scored on the objective its layout reaches after the round's own
+// regularize and polish. In a one-round portfolio the transfer racer runs
+// the transfer-only solve bit for bit, so the portfolio cannot end worse than
+// transfer alone. Picking on the solver objective instead ended this case at
+// 1.051725 against transfer's 1.05.
+func TestPortfolioNeverWorseThanTransfer(t *testing.T) {
+	inst := layouttest.Replicated(2, 4)
+	final := func(s Solver) float64 {
+		adv, err := New(inst, Options{Solver: s, Rounds: 1, NLP: nlp.Options{Seed: 0, Workers: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := adv.Recommend()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec.FinalObjective
+	}
+	transfer, portfolio := final(SolverTransfer), final(SolverPortfolio)
+	if portfolio > transfer {
+		t.Fatalf("portfolio ended at %.6f, worse than transfer alone (%.6f)", portfolio, transfer)
+	}
+}
+
 // TestPortfolioCancelMidSolve cancels a portfolio race mid-run; every racer
 // must stop promptly and the advisor must still hand back a valid, degraded
 // best-so-far recommendation. Under -race this exercises the concurrent

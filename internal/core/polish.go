@@ -1,6 +1,10 @@
 package core
 
-import "dblayout/internal/layout"
+import (
+	"time"
+
+	"dblayout/internal/layout"
+)
 
 // PolishRegular improves a regular layout by local search over regular rows:
 // each pass re-places every object on the best of its candidate regular rows
@@ -14,7 +18,11 @@ import "dblayout/internal/layout"
 // recovers most of that loss while keeping the result regular and valid. It
 // is enabled by default and can be disabled for ablation via
 // Options.SkipPolish.
-func PolishRegular(ev *layout.Evaluator, inst *layout.Instance, l *layout.Layout) *layout.Layout {
+//
+// The pass checks deadline between objects; a zero deadline means
+// unbounded. Once the deadline has passed it stops and returns the layout
+// polished so far, which is regular and valid, with cut set.
+func PolishRegular(ev *layout.Evaluator, inst *layout.Instance, l *layout.Layout, deadline time.Time) (polished *layout.Layout, cut bool) {
 	cur := l.Clone()
 	sizes := inst.Sizes()
 	caps := inst.Capacities()
@@ -32,6 +40,9 @@ func PolishRegular(ev *layout.Evaluator, inst *layout.Instance, l *layout.Layout
 	for pass := 0; pass < maxPasses; pass++ {
 		improved := false
 		for i := 0; i < cur.N; i++ {
+			if !deadline.IsZero() && !time.Now().Before(deadline) {
+				return cur, true
+			}
 			oldRow := cur.Row(i)
 			curObj, curSum := pairOf(utils)
 
@@ -65,7 +76,7 @@ func PolishRegular(ev *layout.Evaluator, inst *layout.Instance, l *layout.Layout
 			break
 		}
 	}
-	return cur
+	return cur, false
 }
 
 func pairOf(utils []float64) (max, sum float64) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"sync"
 
 	"dblayout/internal/layout"
@@ -9,7 +10,7 @@ import (
 )
 
 // racer is the call shape every nlp solver shares.
-type racer func(ctx context.Context, ev nlp.Evaluator, inst *layout.Instance, init *layout.Layout, opt nlp.Options) nlp.Result
+type racer func(ctx context.Context, ev *layout.Evaluator, inst *layout.Instance, init *layout.Layout, opt nlp.Options) nlp.Result
 
 // portfolioRacers returns the solvers SolverPortfolio races, in the fixed
 // order that breaks objective ties. Projected gradient joins only when the
@@ -22,20 +23,23 @@ func (a *Advisor) portfolioRacers() []racer {
 	return racers
 }
 
-// racerOutcome is one portfolio member's finished solve, plus the trace
-// events it buffered when a user hook is installed (racers never call the
-// user hook directly — it is not safe for concurrent use).
+// racerOutcome is one portfolio member's finished solve, its score (see
+// score), and the trace events it buffered when a user hook is installed
+// (racers never call the user hook directly — it is not safe for concurrent
+// use).
 type racerOutcome struct {
 	res    nlp.Result
+	score  float64
 	events []nlp.TraceEvent
 }
 
 // portfolioSolve races the portfolio's solvers concurrently from the same
 // initial layout and merges their results deterministically:
 //
-//   - the layout with the strictly lowest objective wins; ties keep the
-//     earlier racer in portfolioRacers order, so the choice never depends
-//     on scheduling;
+//   - the racer with the strictly lowest score wins: the objective its
+//     layout reaches after the round's own post-processing (see score);
+//     ties keep the earlier racer in portfolioRacers order, so the choice
+//     never depends on scheduling;
 //   - Iters and Evals sum the whole portfolio's effort, while Restarts,
 //     Workers and Trajectory describe the winning racer's run;
 //   - buffered trace events are delivered after the race in racer order,
@@ -78,6 +82,7 @@ func (a *Advisor) portfolioSolve(r *run, init *layout.Layout, nopt nlp.Options) 
 				opt.Trace = func(ev nlp.TraceEvent) { out.events = append(out.events, ev) }
 			}
 			outs[i].res = solve(r.ctx, a.ev, a.inst, init, opt)
+			outs[i].score = a.score(r, outs[i].res)
 		}(i, solve)
 	}
 	wg.Wait()
@@ -87,13 +92,33 @@ func (a *Advisor) portfolioSolve(r *run, init *layout.Layout, nopt nlp.Options) 
 	return mergeRace(outs, userTrace)
 }
 
+// score is the objective res's layout reaches after this round's own
+// post-processing: regularized and, unless SkipPolish, polished. A round
+// that skips post-processing (SkipRegularization, or a cancelled solve)
+// scores the raw solver objective. A layout whose post-processing fails
+// scores +Inf.
+func (a *Advisor) score(r *run, res nlp.Result) float64 {
+	if a.opt.SkipRegularization || isContextErr(res.Stop) {
+		return res.Objective
+	}
+	reg, _, _, err := a.safeRegularize(r, res.Layout)
+	if err != nil {
+		return math.Inf(1)
+	}
+	obj, err := a.safeObjective(reg)
+	if err != nil {
+		return math.Inf(1)
+	}
+	return obj
+}
+
 // mergeRace folds the racers' outcomes into one Result and replays buffered
 // trace events as a single well-formed stream. Racer order is fixed, so the
 // merge is deterministic.
 func mergeRace(outs []racerOutcome, userTrace func(nlp.TraceEvent)) nlp.Result {
 	win := 0
 	for i := 1; i < len(outs); i++ {
-		if outs[i].res.Objective < outs[win].res.Objective {
+		if outs[i].score < outs[win].score {
 			win = i
 		}
 	}

@@ -10,6 +10,7 @@ import (
 
 	"dblayout/internal/layout"
 	"dblayout/internal/nlp"
+	"dblayout/internal/seed"
 )
 
 // Repair is the output of RecommendRepair: a failure-aware re-layout that
@@ -139,11 +140,11 @@ func RecommendRepair(ctx context.Context, inst *layout.Instance, current *layout
 		return rep, nil
 	}
 
-	seed, err := evacuate(rinst, current, rep.Affected, isFailed)
+	evac, err := evacuate(rinst, current, rep.Affected, isFailed)
 	if err != nil {
 		return nil, err
 	}
-	if err := rinst.ValidateLayout(seed); err != nil {
+	if err := rinst.ValidateLayout(evac); err != nil {
 		return nil, fmt.Errorf("core: repair seeding produced an invalid layout: %w: %w", ErrInfeasible, err)
 	}
 
@@ -166,9 +167,9 @@ func RecommendRepair(ctx context.Context, inst *layout.Instance, current *layout
 	// Repair solves draw from their own seed stream so a repair after a
 	// recommendation (same base seed) never replays the advisor's
 	// perturbation sequence.
-	nopt.Seed = nlp.SubSeed(opt.NLP.Seed, nlp.StreamRepair)
+	nopt.Seed = seed.Sub(opt.NLP.Seed, seed.StreamRepair)
 	start := time.Now()
-	final, stop, serr := repairSolve(ctx, ev, rinst, seed, nopt)
+	final, stop, serr := repairSolve(ctx, ev, rinst, evac, nopt)
 	rep.SolveTime = time.Since(start)
 	var ctxErr error
 	switch {
@@ -176,7 +177,7 @@ func RecommendRepair(ctx context.Context, inst *layout.Instance, current *layout
 		// Cost model failed inside the solver; the model-free seed
 		// stands (the "heuristic layout" rung of the ladder).
 		note("solve", "seed", serr)
-		final = seed
+		final = evac
 	case isContextErr(stop):
 		note("solve", "best-so-far", stop)
 		ctxErr = stop
@@ -372,13 +373,13 @@ func evacuate(rinst *layout.Instance, current *layout.Layout, affected []int, is
 
 // repairSolve runs the transfer search with panics from the cost model
 // converted into an ErrModelFailure-classified error.
-func repairSolve(ctx context.Context, ev *layout.Evaluator, rinst *layout.Instance, seed *layout.Layout, opt nlp.Options) (l *layout.Layout, stop error, err error) {
+func repairSolve(ctx context.Context, ev *layout.Evaluator, rinst *layout.Instance, start *layout.Layout, opt nlp.Options) (l *layout.Layout, stop error, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			l, stop, err = nil, nil, layout.AsModelFailure(p)
 		}
 	}()
-	res := nlp.TransferSearch(ctx, ev, rinst, seed, opt)
+	res := nlp.TransferSearch(ctx, ev, rinst, start, opt)
 	return res.Layout, res.Stop, nil
 }
 

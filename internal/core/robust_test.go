@@ -132,6 +132,43 @@ func TestRecommendContextBudget(t *testing.T) {
 	}
 }
 
+// TestPolishRegularDeadline pins the polish pass's deadline contract on a
+// layout that polish improves (0.8135 -> 0.63): a deadline already in the
+// past returns the input unchanged and reports the cut, and a zero deadline
+// is unbounded — the same layout as a deadline that never binds.
+func TestPolishRegularDeadline(t *testing.T) {
+	inst := layouttest.Instance(4)
+	ev := layout.NewEvaluator(inst)
+	init, err := layout.InitialLayout(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := Regularize(ev, inst, init)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	past, cut := PolishRegular(ev, inst, reg, time.Now().Add(-time.Second))
+	if !cut {
+		t.Error("polish past its deadline did not report the cut")
+	}
+	if !sameLayout(past, reg) {
+		t.Error("polish past its deadline changed the layout")
+	}
+
+	unbounded, cut := PolishRegular(ev, inst, reg, time.Time{})
+	if cut {
+		t.Error("polish with a zero deadline reported a cut")
+	}
+	if got := ev.MaxUtilization(unbounded); math.Abs(got-0.63) > 1e-9 {
+		t.Errorf("unbounded polish objective %.17g, want 0.63", got)
+	}
+	far, cut := PolishRegular(ev, inst, reg, time.Now().Add(time.Hour))
+	if cut || !sameLayout(far, unbounded) {
+		t.Errorf("a non-binding deadline changed the polish (cut %v)", cut)
+	}
+}
+
 func TestRecommendContextPanickingModel(t *testing.T) {
 	inst := brokenInstance(4, panicModel{})
 	adv, err := New(inst, Options{NLP: nlp.Options{Seed: 1}})

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dblayout/internal/layout"
+	"dblayout/internal/seed"
 )
 
 // The annealing schedule: the start temperature as a fraction of the initial
@@ -35,7 +36,7 @@ const (
 // dominate); on cancellation or budget exhaustion the solve stops and
 // returns the best layout so far with Result.Stop set. A nil ctx is treated
 // as context.Background().
-func Anneal(ctx context.Context, ev Evaluator, inst *layout.Instance, init *layout.Layout, opt Options) Result {
+func Anneal(ctx context.Context, ev *layout.Evaluator, inst *layout.Instance, init *layout.Layout, opt Options) Result {
 	opt = opt.withDefaults()
 	start := time.Now()
 	deadline := budgetDeadline(opt.Budget)
@@ -43,7 +44,7 @@ func Anneal(ctx context.Context, ev Evaluator, inst *layout.Instance, init *layo
 
 	s := newTransferState(ev, inst, init.Clone())
 	tk := newTracker("anneal", opt.Trace, s.objective())
-	rng := rand.New(rand.NewSource(SubSeed(opt.Seed, StreamAnneal, 0)))
+	rng := rand.New(rand.NewSource(seed.Sub(opt.Seed, seed.StreamAnneal, 0)))
 	res := Result{Workers: opt.workers()}
 	best, bestObj := annealChain(s, rng, opt, tk, lim, 0, &res)
 	res.Evals = s.evals
@@ -53,7 +54,7 @@ func Anneal(ctx context.Context, ev Evaluator, inst *layout.Instance, init *layo
 	if lim.stopped == nil {
 		outs = runRestarts(ctx, deadline, opt, func(r int, rlim *limiter) restartOutcome {
 			rlim.every(64)
-			rng := rand.New(rand.NewSource(SubSeed(opt.Seed, StreamAnneal, int64(r))))
+			rng := rand.New(rand.NewSource(seed.Sub(opt.Seed, seed.StreamAnneal, int64(r))))
 			rs := newTransferState(ev, inst, init.Clone())
 			rs.perturb(rng, opt)
 			rtk := newRestartTracker("anneal", rs.objective(), opt.Trace != nil)

@@ -54,40 +54,18 @@ func paperScale(b *testing.B) (*layout.Instance, *layout.Evaluator, *layout.Layo
 	return inst, ev, init
 }
 
-// evalPaths pairs the incremental kernel against the naive evaluation path
-// (naiveEval hides IncrementalSource) for A/B benchmarks. The ≥3x ns/op
-// speedup acceptance criterion compares the incremental and naive lines of
-// the same benchmark.
-func evalPaths(ev *layout.Evaluator) []struct {
-	name string
-	ev   Evaluator
-} {
-	return []struct {
-		name string
-		ev   Evaluator
-	}{
-		{"incremental", ev},
-		{"naive", naiveEval{inner: ev}},
-	}
-}
-
 // BenchmarkSolvePaperScale runs a single-descent transfer solve at paper
-// scale on both evaluation paths. MaxIters is capped so the naive line stays
-// CI-feasible; both lines do identical solver work, so the ratio is the
-// kernel's end-to-end speedup.
+// scale, capped at eight iterations so a CI smoke run stays short.
 func BenchmarkSolvePaperScale(b *testing.B) {
 	inst, ev, init := paperScale(b)
 	opt := Options{Seed: 1, Restarts: NoRestarts, MaxIters: 8}
-	for _, p := range evalPaths(ev) {
-		b.Run("transfer/"+p.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res := TransferSearch(context.Background(), p.ev, inst, init, opt)
-				if res.Layout == nil {
-					b.Fatal("no layout")
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := TransferSearch(context.Background(), ev, inst, init, opt)
+		if res.Layout == nil {
+			b.Fatal("no layout")
+		}
 	}
 }
 
@@ -117,33 +95,29 @@ func BenchmarkSolveFleetScale(b *testing.B) {
 }
 
 // BenchmarkMoveScoring measures the move-scoring primitive itself at paper
-// scale: one tryMove per iteration. The incremental line must report
-// 0 allocs/op — the kernel's zero-allocation contract for the hot loop.
+// scale: one tryMove per iteration. It must report 0 allocs/op — the
+// kernel's zero-allocation contract for the hot loop.
 func BenchmarkMoveScoring(b *testing.B) {
 	inst, ev, init := paperScale(b)
-	for _, p := range evalPaths(ev) {
-		b.Run(p.name, func(b *testing.B) {
-			s := newTransferState(p.ev, inst, init.Clone())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				obj := i % s.l.N
-				from := -1
-				for j := 0; j < s.l.M; j++ {
-					if s.l.At(obj, j) > layout.Epsilon {
-						from = j
-						break
-					}
-				}
-				if from < 0 {
-					b.Fatalf("object %d has no active target", obj)
-				}
-				to := (from + 1 + i%(s.l.M-1)) % s.l.M
-				if to == from {
-					to = (to + 1) % s.l.M
-				}
-				s.tryMove(move{obj: obj, from: from, to: to, delta: s.l.At(obj, from) * 0.5})
+	s := newTransferState(ev, inst, init.Clone())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		obj := i % s.l.N
+		from := -1
+		for j := 0; j < s.l.M; j++ {
+			if s.l.At(obj, j) > layout.Epsilon {
+				from = j
+				break
 			}
-		})
+		}
+		if from < 0 {
+			b.Fatalf("object %d has no active target", obj)
+		}
+		to := (from + 1 + i%(s.l.M-1)) % s.l.M
+		if to == from {
+			to = (to + 1) % s.l.M
+		}
+		s.tryMove(move{obj: obj, from: from, to: to, delta: s.l.At(obj, from) * 0.5})
 	}
 }

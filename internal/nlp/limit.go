@@ -32,13 +32,6 @@ type limiter struct {
 	stopped  error
 }
 
-// newLimiter captures the context and converts a budget into a deadline.
-// A nil context is treated as context.Background(); a zero budget means
-// unbounded.
-func newLimiter(ctx context.Context, budget time.Duration) *limiter {
-	return newLimiterAt(ctx, budgetDeadline(budget))
-}
-
 // budgetDeadline converts a budget into the absolute deadline shared by
 // every limiter of one solve. Deriving it once up front matters for the
 // parallel path: worker limiters are created as restarts are scheduled, and
@@ -52,8 +45,9 @@ func budgetDeadline(budget time.Duration) time.Time {
 }
 
 // newLimiterAt builds a limiter against an absolute deadline (zero =
-// unbounded). Limiters are single-goroutine state; concurrent workers each
-// get their own against the same deadline.
+// unbounded). A nil context is treated as context.Background(). Limiters
+// are single-goroutine state; concurrent workers each get their own against
+// the same deadline.
 func newLimiterAt(ctx context.Context, deadline time.Time) *limiter {
 	if ctx == nil {
 		ctx = context.Background()

@@ -18,7 +18,8 @@ import (
 // (Seed, Restarts) at any worker count:
 //
 //   - restart r draws every random decision from its own generator, seeded
-//     SubSeed(Seed, Stream<solver>, r), so no stream depends on scheduling;
+//     seed.Sub(Seed, seed.Stream<solver>, r), so no stream depends on
+//     scheduling;
 //   - every restart starts from a layout fully determined by the serial
 //     first descent (never from another restart's output);
 //   - outcomes are merged in restart-index order, and ties on the objective

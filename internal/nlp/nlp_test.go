@@ -71,7 +71,9 @@ func TestProjectSimplexProperties(t *testing.T) {
 }
 
 // solveCheck verifies a solver result against the instance and the starting
-// objective.
+// objective, and the objective the solver reports (tracked on the
+// incremental kernel) against the reference evaluator's full recomputation,
+// to within the kernel's 1e-9 tolerance contract.
 func solveCheck(t *testing.T, inst *layout.Instance, res Result, startObj float64) {
 	t.Helper()
 	if res.Layout == nil {
@@ -82,6 +84,10 @@ func solveCheck(t *testing.T, inst *layout.Instance, res Result, startObj float6
 	}
 	if res.Objective > startObj*(1+1e-9) {
 		t.Fatalf("solver worsened the objective: %g -> %g", startObj, res.Objective)
+	}
+	ref := layout.NewEvaluator(inst).MaxUtilization(res.Layout)
+	if math.Abs(res.Objective-ref) > 1e-9*math.Max(1, ref) {
+		t.Fatalf("reported objective %.17g, reference evaluator %.17g", res.Objective, ref)
 	}
 }
 

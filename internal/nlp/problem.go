@@ -5,8 +5,8 @@
 // The paper formulates the problem in AMPL and solves it with the MINOS
 // non-linear programming solver. MINOS is a *local* solver — the paper notes
 // it is not guaranteed to find a global optimum and is sensitive to the
-// initial layout. This package fills the same contract with two from-scratch
-// solvers:
+// initial layout. This package fills the same contract with three
+// from-scratch solvers:
 //
 //   - TransferSearch: a mass-transfer local search that repeatedly shifts
 //     fractions of objects off the most utilized target. It scales to the
@@ -15,9 +15,16 @@
 //   - ProjectedGradient: finite-difference projected gradient descent on a
 //     softmax-smoothed objective, with per-row simplex projection. Useful as
 //     a cross-check on small problems.
+//   - Anneal: simulated annealing over random transfer moves.
 //
-// Both honour the integrity constraint exactly (rows always sum to 1) and
-// the capacity constraint by construction (moves that would overfill a
+// Every solver prices the objective with one model, the *layout.Evaluator of
+// Eq. 1, and scores moves and finite-difference probes on its incremental
+// kernel (layout.IncrementalEvaluator), which agrees with the evaluator's
+// full recomputation to within 1e-9 (see DESIGN.md, "Evaluation-kernel
+// tolerance contract").
+//
+// All three honour the integrity constraint exactly (rows always sum to 1)
+// and the capacity constraint by construction (moves that would overfill a
 // target are rejected; the gradient path repairs violations after each
 // projection step).
 package nlp
@@ -28,27 +35,6 @@ import (
 	"dblayout/internal/layout"
 )
 
-// Evaluator supplies per-target utilization predictions for candidate
-// layouts. *layout.Evaluator implements it.
-type Evaluator interface {
-	// TargetUtilization returns mu_j under layout l.
-	TargetUtilization(l *layout.Layout, j int) float64
-	// Utilizations returns all mu_j under layout l.
-	Utilizations(l *layout.Layout) []float64
-}
-
-// IncrementalSource is implemented by evaluators that can vend a
-// delta-evaluation kernel for a live layout (*layout.Evaluator does). The
-// solvers probe for it and, when present, score candidate moves in O(active
-// objects) with zero allocations instead of two full O(N) target
-// evaluations; evaluators implementing only Evaluator keep working on the
-// naive path. The kernel and the naive evaluator agree on every target
-// utilization to within 1e-9 (see DESIGN.md, "Evaluation-kernel tolerance
-// contract").
-type IncrementalSource interface {
-	NewIncremental(l *layout.Layout) *layout.IncrementalEvaluator
-}
-
 // NoRestarts is the Options.Restarts sentinel for a single-descent solve:
 // no multi-start rounds run and Result.Restarts reports 0. (The zero value
 // selects the default restart count, so "none" needs an explicit sentinel.)
@@ -58,9 +44,6 @@ const NoRestarts = -1
 type Options struct {
 	// MaxIters bounds improvement iterations (default 2000).
 	MaxIters int
-	// Tolerance is the minimum relative objective improvement that keeps
-	// the search going (default 1e-4).
-	Tolerance float64
 	// Restarts is the number of random multi-start rounds after the first
 	// search converges; the best layout found is kept. Zero selects the
 	// default (3); NoRestarts — or any negative value — requests a
@@ -100,9 +83,6 @@ type Options struct {
 	// delivered stream is identical at every worker count, Iter is
 	// consecutive from 1, and the Best field is non-increasing.
 	Trace func(TraceEvent)
-	// StepFractions are the fractions of an object's current assignment
-	// that a single transfer move may shift (default 1, 1/2, 1/4, 1/8).
-	StepFractions []float64
 	// MovableObjects, when non-nil, restricts the search to moving only
 	// the listed objects; all other rows are frozen. Used for
 	// incremental placement (e.g. FlexVol-style growth), where existing
@@ -122,16 +102,23 @@ type Options struct {
 	// pruning").
 	//
 	// Zero selects automatic behaviour: pruning engages with defaults (64
-	// objects x 16 targets) only when N*M reaches pruneAutoPairs and the
-	// evaluator vends an incremental kernel, so paper-scale solves keep
-	// their exact dense scans. Any negative value disables pruning
-	// outright. Setting either field positive forces pruning at any
-	// problem size (the unset field takes its default). Only
-	// TransferSearch prunes; the anneal and projected-gradient solvers
-	// ignore these fields.
+	// objects x 16 targets) only when N*M reaches pruneAutoPairs, so
+	// paper-scale solves keep their exact dense scans. Any negative value
+	// disables pruning outright. Setting either field positive forces
+	// pruning at any problem size (the unset field takes its default).
+	// Only TransferSearch prunes; the anneal and projected-gradient
+	// solvers ignore these fields.
 	PruneObjects int
 	PruneTargets int
 }
+
+// tolerance is the minimum relative objective improvement that keeps a
+// descent going.
+const tolerance = 1e-4
+
+// stepFractions are the fractions of an object's current assignment that a
+// single transfer move may shift.
+var stepFractions = [...]float64{1, 0.5, 0.25, 0.125}
 
 // Automatic pruning engages at this many object-target pairs (the paper's
 // largest study, N=160 x M=40 = 6400 pairs, stays three orders of magnitude
@@ -143,10 +130,9 @@ const (
 )
 
 // pruneBounds resolves the configured pruning policy for an n x m problem.
-// A (0, 0) result means "scan everything". Pruning requires the incremental
-// kernel: the hottest-object ranking reads its cached per-target rates.
-func (o Options) pruneBounds(n, m int, haveKernel bool) (po, pt int) {
-	if !haveKernel || o.PruneObjects < 0 || o.PruneTargets < 0 {
+// A (0, 0) result means "scan everything".
+func (o Options) pruneBounds(n, m int) (po, pt int) {
+	if o.PruneObjects < 0 || o.PruneTargets < 0 {
 		return 0, 0
 	}
 	po, pt = o.PruneObjects, o.PruneTargets
@@ -178,16 +164,10 @@ func (o Options) withDefaults() Options {
 	if o.MaxIters <= 0 {
 		o.MaxIters = 2000
 	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-4
-	}
 	if o.Restarts < 0 {
 		o.Restarts = 0
 	} else if o.Restarts == 0 {
 		o.Restarts = 3
-	}
-	if len(o.StepFractions) == 0 {
-		o.StepFractions = []float64{1, 0.5, 0.25, 0.125}
 	}
 	return o
 }

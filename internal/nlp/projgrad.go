@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dblayout/internal/layout"
+	"dblayout/internal/seed"
 )
 
 // ProjectedGradient minimizes the maximum target utilization by
@@ -27,7 +28,7 @@ import (
 // or budget exhaustion between gradient iterations and stops with the best
 // layout so far, classifying the reason in Result.Stop. A nil ctx is treated
 // as context.Background().
-func ProjectedGradient(ctx context.Context, ev Evaluator, inst *layout.Instance, init *layout.Layout, opt Options) Result {
+func ProjectedGradient(ctx context.Context, ev *layout.Evaluator, inst *layout.Instance, init *layout.Layout, opt Options) Result {
 	opt = opt.withDefaults()
 	start := time.Now()
 	deadline := budgetDeadline(opt.Budget)
@@ -47,7 +48,7 @@ func ProjectedGradient(ctx context.Context, ev Evaluator, inst *layout.Instance,
 	var outs []restartOutcome
 	if lim.stopped == nil {
 		outs = runRestarts(ctx, deadline, opt, func(r int, rlim *limiter) restartOutcome {
-			rng := rand.New(rand.NewSource(SubSeed(opt.Seed, StreamProjGrad, int64(r))))
+			rng := rand.New(rand.NewSource(seed.Sub(opt.Seed, seed.StreamProjGrad, int64(r))))
 			rs := newTransferState(ev, inst, init.Clone())
 			rs.perturb(rng, opt)
 			_, rcur := maxOf(rs.utils)
@@ -75,25 +76,21 @@ func ProjectedGradient(ctx context.Context, ev Evaluator, inst *layout.Instance,
 // bound, or a limiter stop. It owns l and returns the final layout, its
 // objective, and the iteration/evaluation effort spent.
 //
-// When the evaluator vends an incremental kernel, every finite-difference
-// probe is an O(active objects) delta-score instead of a full O(N) target
-// evaluation; the kernel is rebuilt whenever the line search accepts a new
-// layout (one rebuild per accepted step versus N*M probes per gradient).
-func gradientDescend(ev Evaluator, inst *layout.Instance, l *layout.Layout, utils []float64, cur float64, opt Options, tk *tracker, lim *limiter, restart int) (*layout.Layout, float64, int, int) {
+// Every finite-difference probe is an O(active objects) delta-score on the
+// incremental kernel; the kernel is rebuilt whenever the line search accepts
+// a new layout (one rebuild per accepted step versus N*M probes per
+// gradient).
+func gradientDescend(ev *layout.Evaluator, inst *layout.Instance, l *layout.Layout, utils []float64, cur float64, opt Options, tk *tracker, lim *limiter, restart int) (*layout.Layout, float64, int, int) {
 	sizes := inst.Sizes()
 	caps := inst.Capacities()
 	step := 0.25
 	const h = 1e-4
 	iters, evals := 0, 0
 
-	src, _ := ev.(IncrementalSource)
-	var inc *layout.IncrementalEvaluator
-	if src != nil {
-		inc = src.NewIncremental(l)
-		// Align the probe baseline with the kernel's summation order so
-		// finite differences subtract like from like.
-		utils = inc.Utilizations(utils[:0])
-	}
+	inc := ev.NewIncremental(l)
+	// Align the probe baseline with the kernel's summation order so finite
+	// differences subtract like from like.
+	utils = inc.Utilizations(utils[:0])
 
 	for iter := 0; iter < opt.MaxIters; iter++ {
 		if lim.stop() != nil {
@@ -126,15 +123,7 @@ func gradientDescend(ev Evaluator, inst *layout.Instance, l *layout.Layout, util
 				continue // negligible contribution to the softmax
 			}
 			for i := 0; i < l.N; i++ {
-				old := l.At(i, j)
-				var up float64
-				if inc != nil {
-					up = inc.ScoreObjectFrac(j, i, old+h)
-				} else {
-					l.Set(i, j, old+h)
-					up = ev.TargetUtilization(l, j)
-					l.Set(i, j, old)
-				}
+				up := inc.ScoreObjectFrac(j, i, l.At(i, j)+h)
 				evals++
 				grad[i*l.M+j] = w[j] * (up - utils[j]) / h
 			}
@@ -162,12 +151,9 @@ func gradientDescend(ev Evaluator, inst *layout.Instance, l *layout.Layout, util
 			evals += cand.M
 			if _, cv := maxOf(cu); cv < cur-1e-12 {
 				l = cand
-				utils = cu
-				if src != nil {
-					inc = src.NewIncremental(l)
-					utils = inc.Utilizations(utils[:0])
-				}
-				if cur-cv < opt.Tolerance*cur {
+				inc = ev.NewIncremental(l)
+				utils = inc.Utilizations(cu[:0])
+				if cur-cv < tolerance*cur {
 					cur = cv
 					iter = opt.MaxIters // converged
 				} else {

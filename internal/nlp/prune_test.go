@@ -15,25 +15,23 @@ func TestPruneBounds(t *testing.T) {
 		name         string
 		opt          Options
 		n, m         int
-		kernel       bool
 		wantO, wantT int
 	}{
-		{"paper scale stays dense", Options{}, 160, 40, true, 0, 0},
-		{"auto engages at threshold", Options{}, 1 << 10, 1 << 8, true,
+		{"paper scale stays dense", Options{}, 160, 40, 0, 0},
+		{"auto engages at threshold", Options{}, 1 << 10, 1 << 8,
 			defaultPruneObjects, defaultPruneTargets},
-		{"no kernel never prunes", Options{}, 1 << 10, 1 << 8, false, 0, 0},
-		{"negative disables", Options{PruneObjects: -1}, 1 << 10, 1 << 8, true, 0, 0},
-		{"negative targets disables", Options{PruneTargets: -1}, 1 << 10, 1 << 8, true, 0, 0},
-		{"explicit forces on small problems", Options{PruneObjects: 4, PruneTargets: 2}, 6, 6, true, 4, 2},
-		{"explicit objects defaults targets", Options{PruneObjects: 8}, 6, 6, true, 8, defaultPruneTargets},
-		{"explicit targets defaults objects", Options{PruneTargets: 3}, 6, 6, true, defaultPruneObjects, 3},
+		{"negative disables", Options{PruneObjects: -1}, 1 << 10, 1 << 8, 0, 0},
+		{"negative targets disables", Options{PruneTargets: -1}, 1 << 10, 1 << 8, 0, 0},
+		{"explicit forces on small problems", Options{PruneObjects: 4, PruneTargets: 2}, 6, 6, 4, 2},
+		{"explicit objects defaults targets", Options{PruneObjects: 8}, 6, 6, 8, defaultPruneTargets},
+		{"explicit targets defaults objects", Options{PruneTargets: 3}, 6, 6, defaultPruneObjects, 3},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			po, pt := c.opt.pruneBounds(c.n, c.m, c.kernel)
+			po, pt := c.opt.pruneBounds(c.n, c.m)
 			if po != c.wantO || pt != c.wantT {
-				t.Fatalf("pruneBounds(%d, %d, %v) = (%d, %d), want (%d, %d)",
-					c.n, c.m, c.kernel, po, pt, c.wantO, c.wantT)
+				t.Fatalf("pruneBounds(%d, %d) = (%d, %d), want (%d, %d)",
+					c.n, c.m, po, pt, c.wantO, c.wantT)
 			}
 		})
 	}

@@ -16,29 +16,35 @@ func endless(seed int64) Options {
 	return Options{Seed: seed, MaxIters: 1 << 30, Restarts: 1 << 20}
 }
 
-// slowEval delays every evaluation, standing in for the expensive cost-model
-// lookups of production-sized instances. It keeps the projected-gradient
-// solver (which otherwise converges in milliseconds on test instances) busy
-// long enough for cancellation and budget checks to be what stops it.
-type slowEval struct {
-	inner Evaluator
-	d     time.Duration
+// slowModel delays every cost lookup by 20 us, standing in for the
+// expensive cost models of production-sized instances. It keeps the
+// projected-gradient solver (which otherwise converges in milliseconds on
+// test instances) busy long enough for cancellation and budget checks to be
+// what stops it.
+type slowModel struct{ inner layout.CostModel }
+
+func (s slowModel) Cost(write bool, size, runCount, chi float64) float64 {
+	time.Sleep(20 * time.Microsecond)
+	return s.inner.Cost(write, size, runCount, chi)
 }
 
-func (s slowEval) TargetUtilization(l *layout.Layout, j int) float64 {
-	time.Sleep(s.d)
-	return s.inner.TargetUtilization(l, j)
-}
-
-func (s slowEval) Utilizations(l *layout.Layout) []float64 {
-	time.Sleep(s.d)
-	return s.inner.Utilizations(l)
+// slowEvaluator returns an evaluator for a copy of inst whose target models
+// are all slowed by slowModel.
+func slowEvaluator(inst *layout.Instance) *layout.Evaluator {
+	slow := *inst
+	slow.Targets = make([]*layout.Target, len(inst.Targets))
+	for j, t := range inst.Targets {
+		st := *t
+		st.Model = slowModel{inner: t.Model}
+		slow.Targets[j] = &st
+	}
+	return layout.NewEvaluator(&slow)
 }
 
 type solverCase struct {
 	name  string
-	slow  bool // wrap the evaluator so the solver cannot converge early
-	solve func(ctx context.Context, ev Evaluator, inst *layout.Instance, init *layout.Layout, opt Options) Result
+	slow  bool // slow the cost models so the solver cannot converge early
+	solve func(ctx context.Context, ev *layout.Evaluator, inst *layout.Instance, init *layout.Layout, opt Options) Result
 }
 
 // solverCases enumerates the three search strategies behind one call shape.
@@ -85,9 +91,9 @@ func TestSolversBudget(t *testing.T) {
 	}
 	const budget = 30 * time.Millisecond
 	for _, c := range solverCases() {
-		var sev Evaluator = ev
+		sev := ev
 		if c.slow {
-			sev = slowEval{inner: ev, d: 100 * time.Microsecond}
+			sev = slowEvaluator(inst)
 		}
 		opt := endless(1)
 		opt.Budget = budget
@@ -120,9 +126,9 @@ func TestSolversCancelPrompt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range solverCases() {
-		var sev Evaluator = ev
+		sev := ev
 		if c.slow {
-			sev = slowEval{inner: ev, d: 100 * time.Microsecond}
+			sev = slowEvaluator(inst)
 		}
 		ok := false
 		var last time.Duration

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dblayout/internal/layout"
+	"dblayout/internal/seed"
 )
 
 // TransferSearch minimizes the maximum target utilization by hill descent on
@@ -18,7 +19,8 @@ import (
 // rounds, fanned across Options.Workers goroutines) and keeps the best
 // layout — mirroring the multi-start iteration of the paper's Fig. 4. Each
 // restart draws its perturbation from its own seed stream, so the chosen
-// layout does not depend on the worker count.
+// layout does not depend on the worker count. Moves are scored on ev's
+// incremental kernel.
 //
 // The initial layout must be valid; the returned layout always is.
 //
@@ -27,7 +29,7 @@ import (
 // fires, the solve stops and returns the best layout found so far with
 // Result.Stop classifying the reason. A nil ctx is treated as
 // context.Background().
-func TransferSearch(ctx context.Context, ev Evaluator, inst *layout.Instance, init *layout.Layout, opt Options) Result {
+func TransferSearch(ctx context.Context, ev *layout.Evaluator, inst *layout.Instance, init *layout.Layout, opt Options) Result {
 	opt = opt.withDefaults()
 	start := time.Now()
 	deadline := budgetDeadline(opt.Budget)
@@ -46,7 +48,7 @@ func TransferSearch(ctx context.Context, ev Evaluator, inst *layout.Instance, in
 	var outs []restartOutcome
 	if lim.stopped == nil {
 		outs = runRestarts(ctx, deadline, opt, func(r int, rlim *limiter) restartOutcome {
-			rng := rand.New(rand.NewSource(SubSeed(opt.Seed, StreamTransfer, int64(r))))
+			rng := rand.New(rand.NewSource(seed.Sub(opt.Seed, seed.StreamTransfer, int64(r))))
 			rs := newTransferState(ev, inst, base.Clone())
 			rtk := newRestartTracker("transfer", rs.objective(), opt.Trace != nil)
 			rs.perturb(rng, opt)
@@ -70,17 +72,13 @@ func TransferSearch(ctx context.Context, ev Evaluator, inst *layout.Instance, in
 }
 
 // transferState caches per-target utilizations and assigned bytes for the
-// current layout so that a candidate move costs two target evaluations.
-//
-// When the evaluator can vend an incremental kernel (see IncrementalSource),
-// the two evaluations are O(active objects) delta-scores with zero
-// allocations; otherwise each is a full O(N) naive evaluation. Both paths
-// fold sub-Epsilon source residuals into the moved fraction (the dust clamp),
-// so rows never lose mass and the bytes cache never drifts from
-// Layout.TargetBytes.
+// current layout so that a candidate move costs two O(active objects)
+// delta-scores on the incremental kernel, with zero allocations. The kernel
+// folds sub-Epsilon source residuals into the moved fraction (the dust
+// clamp), so rows never lose mass and the bytes cache, which follows the
+// kernel's effective moved fraction, never drifts from Layout.TargetBytes.
 type transferState struct {
-	ev    Evaluator
-	inc   *layout.IncrementalEvaluator // nil selects the naive path
+	inc   *layout.IncrementalEvaluator
 	inst  *layout.Instance
 	l     *layout.Layout
 	utils []float64
@@ -102,41 +100,21 @@ type hotObject struct {
 	lam float64
 }
 
-func newTransferState(ev Evaluator, inst *layout.Instance, l *layout.Layout) *transferState {
+func newTransferState(ev *layout.Evaluator, inst *layout.Instance, l *layout.Layout) *transferState {
 	s := &transferState{
-		ev:    ev,
+		inc:   ev.NewIncremental(l),
 		inst:  inst,
+		l:     l,
 		sizes: inst.Sizes(),
 		caps:  inst.Capacities(),
+		evals: l.M,
+		bytes: make([]float64, l.M),
 	}
-	s.reset(l)
-	return s
-}
-
-func (s *transferState) reset(l *layout.Layout) {
-	s.l = l
-	if src, ok := s.ev.(IncrementalSource); ok {
-		s.inc = src.NewIncremental(l)
-		s.utils = s.inc.Utilizations(nil)
-	} else {
-		s.utils = s.ev.Utilizations(l)
-	}
-	s.evals += l.M
-	s.bytes = make([]float64, l.M)
-	for j := 0; j < l.M; j++ {
+	s.utils = s.inc.Utilizations(nil)
+	for j := range s.bytes {
 		s.bytes[j] = l.TargetBytes(j, s.sizes)
 	}
-}
-
-// effectiveDelta folds a sub-Epsilon source residual into the moved fraction,
-// promoting the move to a whole-assignment transfer. Dropping the residual
-// instead (the pre-kernel behaviour) leaked row mass on every clamped move
-// and let the bytes cache drift from the layout's true byte assignment.
-func (s *transferState) effectiveDelta(m move) float64 {
-	if have := s.l.At(m.obj, m.from); have-m.delta < layout.Epsilon {
-		return have
-	}
-	return m.delta
+	return s
 }
 
 // objective returns the current max utilization.
@@ -169,49 +147,19 @@ type move struct {
 
 // apply performs the move and refreshes the two affected columns.
 func (s *transferState) apply(m move) {
-	var eff float64
-	if s.inc != nil {
-		eff = s.inc.Apply(m.obj, m.from, m.to, m.delta)
-		s.utils[m.from] = s.inc.Utilization(m.from)
-		s.utils[m.to] = s.inc.Utilization(m.to)
-	} else {
-		eff = s.effectiveDelta(m)
-		newFrom := s.l.At(m.obj, m.from) - eff
-		if eff == s.l.At(m.obj, m.from) {
-			newFrom = 0 // exact, however the subtraction rounds
-		}
-		s.l.Set(m.obj, m.from, newFrom)
-		s.l.Set(m.obj, m.to, s.l.At(m.obj, m.to)+eff)
-		s.utils[m.from] = s.ev.TargetUtilization(s.l, m.from)
-		s.utils[m.to] = s.ev.TargetUtilization(s.l, m.to)
-	}
+	eff := s.inc.Apply(m.obj, m.from, m.to, m.delta)
+	s.utils[m.from] = s.inc.Utilization(m.from)
+	s.utils[m.to] = s.inc.Utilization(m.to)
 	s.bytes[m.from] -= eff * float64(s.sizes[m.obj])
 	s.bytes[m.to] += eff * float64(s.sizes[m.obj])
 	s.evals += 2
 }
 
-// tryMove evaluates the (max, sum) objective after m without keeping it. On
-// the incremental path the two affected targets are delta-scored against the
-// kernel's cached state with no mutation and no allocation; the naive
-// fallback applies the move, reads the two new utilizations, and reverts.
+// tryMove evaluates the (max, sum) objective after m without keeping it: the
+// two affected targets are delta-scored against the kernel's cached state
+// with no mutation and no allocation.
 func (s *transferState) tryMove(m move) (float64, float64) {
-	var nf, nt float64
-	if s.inc != nil {
-		nf, nt = s.inc.TryMove(m.obj, m.from, m.to, m.delta)
-	} else {
-		eff := s.effectiveDelta(m)
-		fromOld, toOld := s.l.At(m.obj, m.from), s.l.At(m.obj, m.to)
-		newFrom := fromOld - eff
-		if eff == fromOld {
-			newFrom = 0
-		}
-		s.l.Set(m.obj, m.from, newFrom)
-		s.l.Set(m.obj, m.to, toOld+eff)
-		nf = s.ev.TargetUtilization(s.l, m.from)
-		nt = s.ev.TargetUtilization(s.l, m.to)
-		s.l.Set(m.obj, m.from, fromOld)
-		s.l.Set(m.obj, m.to, toOld)
-	}
+	nf, nt := s.inc.TryMove(m.obj, m.from, m.to, m.delta)
 	s.evals += 2
 
 	obj, sum := 0.0, 0.0
@@ -267,7 +215,7 @@ func (s *transferState) descend(res *Result, opt Options, tk *tracker, lim *limi
 		// Tie-breaker (sum-only) improvements are allowed to run for a
 		// while to escape plateaus, but must eventually pay off on the
 		// primary objective.
-		if newMax, _ := s.objectivePair(); curMax-newMax < opt.Tolerance*curMax {
+		if newMax, _ := s.objectivePair(); curMax-newMax < tolerance*curMax {
 			stall++
 			if stall > 4*s.l.M {
 				break
@@ -305,9 +253,9 @@ func (sc *moveScan) consider(m move) {
 
 // tryPair prices every step fraction of moving object i from src to to,
 // deduplicating whole-assignment transfers promoted by the dust clamp.
-func (sc *moveScan) tryPair(i, src, to int, have float64, opt Options) {
+func (sc *moveScan) tryPair(i, src, to int, have float64) {
 	fullTried := false
-	for _, f := range opt.StepFractions {
+	for _, f := range stepFractions {
 		delta := have * f
 		if have-delta < 1e-3 {
 			delta = have // avoid leaving dust fractions behind
@@ -337,7 +285,7 @@ func (sc *moveScan) tryPair(i, src, to int, have float64, opt Options) {
 func (s *transferState) bestMove(curMax, curSum float64, opt Options, lim *limiter) (move, bool) {
 	src, _ := maxOf(s.utils)
 	movable := opt.movableSet(s.l.N)
-	if po, pt := opt.pruneBounds(s.l.N, s.l.M, s.inc != nil); po > 0 {
+	if po, pt := opt.pruneBounds(s.l.N, s.l.M); po > 0 {
 		mv, found, interrupted := s.scanPruned(src, curMax, curSum, opt, movable, lim, po, pt)
 		if found || interrupted {
 			return mv, found
@@ -364,7 +312,7 @@ func (s *transferState) scanFull(src int, curMax, curSum float64, opt Options, m
 			if to == src {
 				continue
 			}
-			sc.tryPair(i, src, to, have, opt)
+			sc.tryPair(i, src, to, have)
 		}
 	}
 	return sc.best, sc.found
@@ -406,7 +354,7 @@ func (s *transferState) scanPruned(src int, curMax, curSum float64, opt Options,
 		}
 		have := s.l.At(h.obj, src)
 		for _, to := range s.cand {
-			sc.tryPair(h.obj, src, to, have, opt)
+			sc.tryPair(h.obj, src, to, have)
 		}
 	}
 	return sc.best, sc.found, false

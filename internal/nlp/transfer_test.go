@@ -10,39 +10,21 @@ import (
 	"dblayout/internal/layouttest"
 )
 
-// naiveEval hides *layout.Evaluator's IncrementalSource implementation, which
-// forces every consumer onto the naive mutate-evaluate-revert path. The
-// benchmarks use it to measure the incremental kernel's speedup and the
-// regression tests use it to pin both code paths.
-type naiveEval struct {
-	inner *layout.Evaluator
-}
-
-func (e naiveEval) TargetUtilization(l *layout.Layout, j int) float64 {
-	return e.inner.TargetUtilization(l, j)
-}
-
-func (e naiveEval) Utilizations(l *layout.Layout) []float64 {
-	return e.inner.Utilizations(l)
-}
-
 // TestTransferStateBytesCacheNoDrift is the regression test for the dust-clamp
 // drift bug: apply() used to clamp a sub-Epsilon source residual to zero while
 // subtracting only the un-clamped delta from the bytes cache, so every clamped
 // move leaked row mass and let the cached per-target bytes drift from the
 // layout's true byte assignment. After a long random move sequence heavy in
 // clamped and whole-assignment moves, the layout must still pass
-// CheckIntegrity and the bytes cache must equal a fresh recomputation — on
-// both the incremental-kernel and naive paths.
+// CheckIntegrity and the bytes cache must equal a fresh recomputation.
 func TestTransferStateBytesCacheNoDrift(t *testing.T) {
 	inst := layouttest.Instance(4)
 	ev := layout.NewEvaluator(inst)
 	for _, tc := range []struct {
 		name string
-		ev   Evaluator
+		ev   *layout.Evaluator
 	}{
 		{"incremental", ev},
-		{"naive", naiveEval{inner: ev}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			init, err := layout.InitialLayout(inst)
@@ -50,12 +32,6 @@ func TestTransferStateBytesCacheNoDrift(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := newTransferState(tc.ev, inst, init.Clone())
-			if tc.name == "incremental" && s.inc == nil {
-				t.Fatal("kernel path not selected for *layout.Evaluator")
-			}
-			if tc.name == "naive" && s.inc != nil {
-				t.Fatal("naive wrapper unexpectedly vended a kernel")
-			}
 
 			rng := rand.New(rand.NewSource(5))
 			applied := 0
@@ -147,28 +123,5 @@ func TestNoRestartsSingleDescent(t *testing.T) {
 				t.Fatalf("negative restart values disagree: %g vs %g", res.Objective, res2.Objective)
 			}
 		})
-	}
-}
-
-// TestTransferSearchKernelMatchesNaivePath checks that the incremental-kernel
-// and naive transfer paths not only stay within tolerance on utilizations but
-// actually produce valid solves of comparable quality from the same seed.
-func TestTransferSearchKernelMatchesNaivePath(t *testing.T) {
-	inst := layouttest.Instance(4)
-	ev := layout.NewEvaluator(inst)
-	init, err := layout.InitialLayout(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := ev.MaxUtilization(init)
-	opt := Options{Seed: 3, Restarts: 2, MaxIters: 300}
-	fast := TransferSearch(context.Background(), ev, inst, init, opt)
-	slow := TransferSearch(context.Background(), naiveEval{inner: ev}, inst, init, opt)
-	solveCheck(t, inst, fast, start)
-	solveCheck(t, inst, slow, start)
-	// Same search from the same seed: the paths may diverge on exact
-	// tie-breaks, but neither may be meaningfully worse than the other.
-	if fast.Objective > slow.Objective*1.05 || slow.Objective > fast.Objective*1.05 {
-		t.Fatalf("kernel path %.6f vs naive path %.6f objectives diverge", fast.Objective, slow.Objective)
 	}
 }

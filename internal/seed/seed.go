@@ -10,8 +10,7 @@
 // base seed, including 0.
 //
 // The package has no dependencies so every layer (costmodel, replay, nlp,
-// core) can use it without import cycles. Solver-facing code usually goes
-// through the nlp package's aliases (nlp.SubSeed, nlp.StreamTransfer, ...).
+// core) can use it without import cycles.
 package seed
 
 // Stream identities for Sub's first path element. New consumers must add a

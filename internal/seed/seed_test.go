@@ -36,3 +36,28 @@ func TestSubGolden(t *testing.T) {
 		t.Fatalf("Sub(0, StreamTransfer, 0) = %d, want %d", got, want)
 	}
 }
+
+// TestSubSeedStreams pins the independence properties the seed registry is
+// for: same path same stream, any differing element a different stream.
+func TestSubSeedStreams(t *testing.T) {
+	if Sub(1, StreamTransfer, 0) != Sub(1, StreamTransfer, 0) {
+		t.Fatal("Sub is not deterministic")
+	}
+	seen := map[int64][]int64{}
+	for base := int64(0); base < 3; base++ {
+		for stream := StreamTransfer; stream <= StreamRepair; stream++ {
+			for r := int64(0); r < 4; r++ {
+				s := Sub(base, stream, r)
+				if prev, dup := seen[s]; dup {
+					t.Fatalf("stream collision: (%d,%d,%d) and %v both derive %d",
+						base, stream, r, prev, s)
+				}
+				seen[s] = []int64{base, stream, r}
+			}
+		}
+	}
+	// Path structure matters: (a,b) must not collide with (b,a) or (a+b).
+	if Sub(1, 2, 3) == Sub(1, 3, 2) || Sub(1, 2, 3) == Sub(1, 5) {
+		t.Fatal("Sub collapses structurally different paths")
+	}
+}
