@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -187,21 +188,39 @@ func TestRecommendContextPanickingModel(t *testing.T) {
 	}
 }
 
+// TestRecommendContextNaNModel degrades on models that price requests as
+// NaN: a black-box model, and a literal table whose zero size point
+// interpolates to NaN below its next point, priced by the kernel from cached
+// cells and, behind costOnly, through Cost. The guard reports the same
+// failure on both table paths.
 func TestRecommendContextNaNModel(t *testing.T) {
-	inst := brokenInstance(4, nanModel{})
-	adv, err := New(inst, Options{NLP: nlp.Options{Seed: 1}})
-	if err != nil {
-		t.Fatal(err)
+	nanTable := layouttest.DiskModel()
+	nanTable.Read.Sizes = []float64{0, 131072} // Instance's IX and COLD read 8 KiB
+	var failures []string
+	for _, model := range []layout.CostModel{nanModel{}, nanTable, costOnly{nanTable}} {
+		inst := brokenInstance(4, model)
+		adv, err := New(inst, Options{NLP: nlp.Options{Seed: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := adv.RecommendContext(context.Background())
+		if err != nil {
+			t.Fatalf("%T: NaN model escalated to an error: %v", model, err)
+		}
+		if !rec.Degraded || !errors.Is(rec.Degradation, ErrModelFailure) {
+			t.Fatalf("%T: not Degraded(ErrModelFailure): %v", model, rec.Degradation)
+		}
+		if err := inst.ValidateLayout(rec.Final); err != nil {
+			t.Fatalf("%T: fallback layout invalid: %v", model, err)
+		}
+		failures = append(failures, rec.Degradation.Error())
 	}
-	rec, err := adv.RecommendContext(context.Background())
-	if err != nil {
-		t.Fatalf("NaN model escalated to an error: %v", err)
+	cells, cost := failures[1], failures[2]
+	if !strings.Contains(cells, "read cost(size=8192, ") || !strings.HasSuffix(cells, ") = NaN") {
+		t.Errorf("cells path reports %q, want the guard's NaN read cost", cells)
 	}
-	if !rec.Degraded || !errors.Is(rec.Degradation, ErrModelFailure) {
-		t.Fatalf("not Degraded(ErrModelFailure): %v", rec.Degradation)
-	}
-	if err := inst.ValidateLayout(rec.Final); err != nil {
-		t.Fatalf("fallback layout invalid: %v", err)
+	if cells != cost {
+		t.Errorf("cells path reports %q, Cost path %q", cells, cost)
 	}
 }
 

@@ -107,6 +107,7 @@ func calibrateTable(factory TargetFactory, grid Grid, write bool) Table {
 			t.Curves[si][ri] = curve
 		}
 	}
+	t.fillLogs()
 	return t
 }
 

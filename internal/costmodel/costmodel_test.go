@@ -234,3 +234,83 @@ func TestCalibrationDeterminism(t *testing.T) {
 		t.Error("calibration not deterministic")
 	}
 }
+
+// TestValidRejectsAxisWithoutLog pins that every axis point must have a
+// finite logarithm: interpolation is in log space, so a zero, negative, NaN
+// or infinite point turns lookups into NaN.
+func TestValidRejectsAxisWithoutLog(t *testing.T) {
+	for name, mutate := range map[string]func(*Table){
+		"zero size":     func(tb *Table) { tb.Sizes[0] = 0 },
+		"negative size": func(tb *Table) { tb.Sizes[0] = -4096 },
+		"NaN size":      func(tb *Table) { tb.Sizes[1] = math.NaN() },
+		"infinite size": func(tb *Table) { tb.Sizes[2] = math.Inf(1) },
+		"zero run":      func(tb *Table) { tb.RunCounts[0] = 0 },
+		"NaN run":       func(tb *Table) { tb.RunCounts[0] = math.NaN() },
+		"infinite run":  func(tb *Table) { tb.RunCounts[2] = math.Inf(1) },
+	} {
+		tab := flatTable()
+		mutate(&tab)
+		if err := tab.Valid(); err == nil {
+			t.Errorf("%s: table accepted", name)
+		}
+	}
+	if err := (&Table{Sizes: []float64{}, RunCounts: []float64{1}}).Valid(); err == nil {
+		t.Error("empty size axis accepted")
+	}
+
+	// A saved model with a zero size point is refused at Load, not priced
+	// as NaN afterwards.
+	tab := Table{Sizes: []float64{0, 8192}, RunCounts: []float64{1}}
+	curve := Curve{Contention: []float64{0, 4}, Cost: []float64{1e-3, 2e-3}}
+	tab.Curves = [][]Curve{{curve}, {curve}}
+	var buf bytes.Buffer
+	if err := (&Model{Target: "x", Read: tab, Write: flatTable()}).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); err == nil {
+		t.Error("model with a zero size point loaded")
+	}
+}
+
+// TestCellMatchesLiteralLookup pins that a located cell, on a table with
+// log axes (Load) and on a literal one, prices every point with the bits of
+// the literal table's Lookup, and that Save output carries no log axes.
+func TestCellMatchesLiteralLookup(t *testing.T) {
+	lit := flatTable()
+	var buf bytes.Buffer
+	if err := (&Model{Target: "x", Read: lit, Write: lit}).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.String()
+	m, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Read.logSizes == nil || m.Read.logRuns == nil || lit.logSizes != nil {
+		t.Fatal("log axes: Load must fill them, a literal has none")
+	}
+	var again bytes.Buffer
+	if err := m.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != saved {
+		t.Error("a loaded model saves differently")
+	}
+	f := func(s, r, chi uint32) bool {
+		size := 1000 + float64(s%100000)*0.7
+		run := 0.5 + float64(r%2000)*0.05
+		c := float64(chi%1600)/100 - 2
+		want := math.Float64bits(lit.Lookup(size, run, c))
+		return math.Float64bits(lit.Cell(size, run).At(c)) == want &&
+			math.Float64bits(m.Read.Cell(size, run).At(c)) == want &&
+			math.Float64bits(m.Read.Lookup(size, run, c)) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	cal := Calibrate("d", diskFactory, Grid{Sizes: []int64{8192, 65536}, RunCounts: []int64{1, 8},
+		Competitors: []int{0}, RequestsPerCell: 50})
+	if cal.Read.logSizes == nil || cal.Write.logRuns == nil {
+		t.Error("Calibrate left the log axes empty")
+	}
+}

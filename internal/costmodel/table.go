@@ -7,6 +7,10 @@
 // models are not analytic: they are tables of measured costs obtained by
 // subjecting the target to calibration workloads with known parameters, with
 // interpolation between calibration points at lookup time.
+//
+// A lookup locates the grid cell of a (size, run count) point, then
+// evaluates it at a contention value (Table.Cell, Cell.At). Callers that
+// price one point at many contention values keep the cell.
 package costmodel
 
 import (
@@ -66,6 +70,11 @@ func (c *Curve) Valid() error {
 // Table is the full cost model for one request direction (read or write) on
 // one target type: a grid of contention curves indexed by request size and
 // run count.
+//
+// A lookup splits into two steps: Cell locates the grid cell of a (size, run
+// count) point, and Cell.At evaluates it at a contention value. A caller that
+// prices one point at many contention values, as the layout kernel does for
+// an object whose fraction on a target is unchanged, locates the cell once.
 type Table struct {
 	// Sizes are the calibrated request sizes in bytes, increasing.
 	Sizes []float64 `json:"sizes"`
@@ -73,9 +82,18 @@ type Table struct {
 	RunCounts []float64 `json:"run_counts"`
 	// Curves[si][ri] is the contention curve for Sizes[si], RunCounts[ri].
 	Curves [][]Curve `json:"curves"`
+
+	// logSizes and logRuns hold math.Log of every axis point. Calibrate
+	// and Load fill them, so a lookup there takes one logarithm per axis
+	// instead of three; the axes of such a table must not change
+	// afterwards. A table built as a literal has neither and takes the
+	// logarithms of the bracketing points on each lookup. Both ways give
+	// the same bits. They are not serialized.
+	logSizes, logRuns []float64
 }
 
-// Valid reports whether the table is well-formed.
+// Valid reports whether the table is well-formed. Interpolation is in log
+// space, so every axis point must be finite and positive.
 func (t *Table) Valid() error {
 	if len(t.Sizes) == 0 || len(t.RunCounts) == 0 {
 		return fmt.Errorf("costmodel: empty table axes")
@@ -94,24 +112,46 @@ func (t *Table) Valid() error {
 			}
 		}
 	}
-	for i := 1; i < len(t.Sizes); i++ {
-		if t.Sizes[i] <= t.Sizes[i-1] {
-			return fmt.Errorf("costmodel: size axis not increasing")
-		}
+	if err := validAxis("size", t.Sizes); err != nil {
+		return err
 	}
-	for i := 1; i < len(t.RunCounts); i++ {
-		if t.RunCounts[i] <= t.RunCounts[i-1] {
-			return fmt.Errorf("costmodel: run-count axis not increasing")
+	return validAxis("run-count", t.RunCounts)
+}
+
+// validAxis checks that axis is increasing and that each point has a finite
+// logarithm.
+func validAxis(name string, axis []float64) error {
+	for i, v := range axis {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("costmodel: %s axis point %d is %g, want finite and positive", name, i, v)
+		}
+		if i > 0 && v <= axis[i-1] {
+			return fmt.Errorf("costmodel: %s axis not increasing", name)
 		}
 	}
 	return nil
 }
 
+// fillLogs records the logarithms of the table's axis points.
+func (t *Table) fillLogs() {
+	t.logSizes = logAxis(t.Sizes)
+	t.logRuns = logAxis(t.RunCounts)
+}
+
+func logAxis(axis []float64) []float64 {
+	logs := make([]float64, len(axis))
+	for i, v := range axis {
+		logs[i] = math.Log(v)
+	}
+	return logs
+}
+
 // bracket returns indices (i, j) and weight f such that axis[i] and axis[j]
 // bracket v with interpolation weight f toward j, clamping outside the range.
 // Interpolation is performed in log space because both the size and run-count
-// axes are geometric.
-func bracket(axis []float64, v float64) (int, int, float64) {
+// axes are geometric. logs is math.Log of each axis point, or nil, in which
+// case the two bracketing logarithms are taken here.
+func bracket(axis, logs []float64, v float64) (int, int, float64) {
 	n := len(axis)
 	if v <= axis[0] {
 		return 0, 0, 0
@@ -120,24 +160,57 @@ func bracket(axis []float64, v float64) (int, int, float64) {
 		return n - 1, n - 1, 0
 	}
 	i := sort.SearchFloat64s(axis, v)
-	lo, hi := axis[i-1], axis[i]
-	f := (math.Log(v) - math.Log(lo)) / (math.Log(hi) - math.Log(lo))
+	var lo, hi float64
+	if logs != nil {
+		lo, hi = logs[i-1], logs[i]
+	} else {
+		lo, hi = math.Log(axis[i-1]), math.Log(axis[i])
+	}
+	f := (math.Log(v) - lo) / (hi - lo)
 	return i - 1, i, f
 }
 
+// Cell is a located grid cell of a Table: the four contention curves that
+// bracket one (request size, run count) point, and the log-space weights
+// toward its larger size and larger run count. The zero Cell must not be
+// evaluated.
+type Cell struct {
+	c00, c01, c10, c11 *Curve
+	sf, rf             float64
+}
+
+// Cell locates the grid cell of the given request size (bytes) and run
+// count. Values outside the calibrated ranges are clamped to the nearest
+// calibrated point. The cell refers to the table's curves and is valid while
+// the table is.
+func (t *Table) Cell(size, runCount float64) Cell {
+	s0, s1, sf := bracket(t.Sizes, t.logSizes, size)
+	r0, r1, rf := bracket(t.RunCounts, t.logRuns, runCount)
+	return Cell{
+		c00: &t.Curves[s0][r0], c01: &t.Curves[s0][r1],
+		c10: &t.Curves[s1][r0], c11: &t.Curves[s1][r1],
+		sf: sf, rf: rf,
+	}
+}
+
+// At returns the cell's interpolated per-request cost in seconds at
+// contention factor chi.
+func (c Cell) At(chi float64) float64 {
+	c00 := c.c00.At(chi)
+	c01 := c.c01.At(chi)
+	c10 := c.c10.At(chi)
+	c11 := c.c11.At(chi)
+	low := c00*(1-c.rf) + c01*c.rf
+	high := c10*(1-c.rf) + c11*c.rf
+	return low*(1-c.sf) + high*c.sf
+}
+
 // Lookup returns the interpolated per-request cost in seconds for the given
-// request size (bytes), run count, and contention factor. Values outside the
-// calibrated ranges are clamped to the nearest calibrated point.
+// request size (bytes), run count, and contention factor: Cell(size,
+// runCount).At(chi). Values outside the calibrated ranges are clamped to the
+// nearest calibrated point.
 func (t *Table) Lookup(size, runCount, chi float64) float64 {
-	s0, s1, sf := bracket(t.Sizes, size)
-	r0, r1, rf := bracket(t.RunCounts, runCount)
-	c00 := t.Curves[s0][r0].At(chi)
-	c01 := t.Curves[s0][r1].At(chi)
-	c10 := t.Curves[s1][r0].At(chi)
-	c11 := t.Curves[s1][r1].At(chi)
-	low := c00*(1-rf) + c01*rf
-	high := c10*(1-rf) + c11*rf
-	return low*(1-sf) + high*sf
+	return t.Cell(size, runCount).At(chi)
 }
 
 // Model is the complete per-target-type cost model: one table for reads and
@@ -185,5 +258,7 @@ func Load(r io.Reader) (*Model, error) {
 	if err := m.Valid(); err != nil {
 		return nil, err
 	}
+	m.Read.fillLogs()
+	m.Write.fillLogs()
 	return &m, nil
 }

@@ -1,6 +1,10 @@
 package layout
 
-import "fmt"
+import (
+	"fmt"
+
+	"dblayout/internal/costmodel"
+)
 
 // IncrementalEvaluator is a delta-evaluation kernel for the utilization model
 // of Eq. 1/Eq. 2, bound to one live Layout. Where the naive Evaluator prices a
@@ -9,9 +13,10 @@ import "fmt"
 //
 //   - the request-rate entry lambda_ij = totalRate_i * L[i][j],
 //   - the contention sum S_ij = sum_{k != i} lambda_kj * Overlap(i, k),
+//   - the entry's cost-table cells (see entryCells),
 //   - the current utilization mu_j,
 //
-// held in three parallel slices ordered by ascending object id, so summation
+// held in parallel slices ordered by ascending object id, so summation
 // order is reproducible and lookup is a binary search. State is sized by
 // active entries, not by N: construction walks the layout once and allocates
 // O(total active entries), so an almost-empty fleet-scale target costs
@@ -19,6 +24,8 @@ import "fmt"
 // and scanned every target twice regardless of occupancy). Scoring a
 // candidate move is a merge-walk of the target's active list with the moved
 // object's sparse overlap row — O(active + degree) with zero allocations.
+// Re-pricing an active object whose fraction is unchanged evaluates its
+// cached cells: four Curve.At calls per direction and no logarithm.
 //
 // The kernel agrees with the naive Evaluator to within 1e-9 on every target
 // utilization (see DESIGN.md, "Evaluation-kernel tolerance contract"): exact
@@ -40,10 +47,51 @@ type IncrementalEvaluator struct {
 	// evaluator.
 	ov *overlapCSR
 
-	act [][]int32   // act[j]: objects with L[i][j] != 0, ascending
-	lam [][]float64 // lam[j][t] = totalRate[act[j][t]] * L[act[j][t]][j]
-	con [][]float64 // con[j][t] = S_ij for i = act[j][t]
-	mu  []float64   // mu[j]: cached utilization of target j
+	act [][]int32      // act[j]: objects with L[i][j] != 0, ascending
+	lam [][]float64    // lam[j][t] = totalRate[act[j][t]] * L[act[j][t]][j]
+	con [][]float64    // con[j][t] = S_ij for i = act[j][t]
+	cel [][]entryCells // cel[j][t]: the cells of i = act[j][t] at L[i][j]
+	mu  []float64      // mu[j]: cached utilization of target j
+}
+
+// entryCells is the pricing state of object i holding fraction lij of target
+// j that does not depend on contention: the run count Q_ij and, when target
+// j's model is a calibrated table, the read and write cells at the object's
+// request sizes and that run count. It changes only with lij. Other models
+// are priced through Cost with the same run count.
+type entryCells struct {
+	run         float64
+	read, write costmodel.Cell
+}
+
+// cells prepares the entry cells of object i holding fraction lij of target
+// j. A direction the object never issues gets no cell.
+func (ev *Evaluator) cells(j, i int, lij float64) entryCells {
+	c := entryCells{run: ev.runCountOn(i, lij)}
+	if t := ev.tables[j]; t != nil {
+		if ev.readRate[i] > 0 {
+			c.read = t.Read.Cell(ev.readSize[i], c.run)
+		}
+		if ev.writeRate[i] > 0 {
+			c.write = t.Write.Cell(ev.writeSize[i], c.run)
+		}
+	}
+	return c
+}
+
+// entryCost returns the guarded per-request cost of one direction of an
+// entry at contention chi: from its cell on a table target, through Cost on
+// any other. A table's Cost evaluates the same cell, so both give the bits
+// Cost(write, size, c.run, chi) does.
+func (ev *Evaluator) entryCost(j int, write bool, size, chi float64, c *entryCells) float64 {
+	if ev.tables[j] == nil {
+		return ev.cost(j, ev.inst.Targets[j].Model, write, size, c.run, chi)
+	}
+	cell := c.read
+	if write {
+		cell = c.write
+	}
+	return ev.guard(j, write, size, c.run, chi, cell.At(chi))
 }
 
 // NewIncremental binds a delta-evaluation kernel to l. Construction is one
@@ -65,6 +113,7 @@ func (ev *Evaluator) NewIncremental(l *Layout) *IncrementalEvaluator {
 		act: make([][]int32, m),
 		lam: make([][]float64, m),
 		con: make([][]float64, m),
+		cel: make([][]entryCells, m),
 		mu:  make([]float64, m),
 	}
 	// One pass in row-major (layout storage) order: each target's active
@@ -74,6 +123,7 @@ func (ev *Evaluator) NewIncremental(l *Layout) *IncrementalEvaluator {
 			if f := l.At(i, j); f != 0 {
 				q.act[j] = append(q.act[j], int32(i))
 				q.lam[j] = append(q.lam[j], ev.totalRate[i]*f)
+				q.cel[j] = append(q.cel[j], ev.cells(j, i, f))
 			}
 		}
 	}
@@ -136,18 +186,17 @@ func (q *IncrementalEvaluator) freshCon(j, i int) float64 {
 }
 
 // objTerm computes mu_ij exactly as Evaluator.objectUtil does, given the
-// object's assigned fraction and contention factor. The caller has already
-// established lij > Epsilon and totalRate[i] > 0.
-func (q *IncrementalEvaluator) objTerm(j, i int, lij, chi float64) float64 {
+// object's assigned fraction, contention factor and entry cells at that
+// fraction. The caller has already established lij > Epsilon and
+// totalRate[i] > 0.
+func (q *IncrementalEvaluator) objTerm(j, i int, lij, chi float64, c *entryCells) float64 {
 	ev := q.ev
-	model := ev.inst.Targets[j].Model
-	run := ev.runCountOn(i, lij)
 	var mu float64
 	if rr := ev.readRate[i] * lij; rr > 0 {
-		mu += rr * ev.cost(j, model, false, ev.readSize[i], run, chi)
+		mu += rr * ev.entryCost(j, false, ev.readSize[i], chi, c)
 	}
 	if wr := ev.writeRate[i] * lij; wr > 0 {
-		mu += wr * ev.cost(j, model, true, ev.writeSize[i], run, chi)
+		mu += wr * ev.entryCost(j, true, ev.writeSize[i], chi, c)
 	}
 	return mu
 }
@@ -161,7 +210,8 @@ func (q *IncrementalEvaluator) objTerm(j, i int, lij, chi float64) float64 {
 // The active-list walk carries a merge pointer into obj's sparse overlap row
 // (tval, the Overlap(i, obj) direction): only obj's co-access partners see
 // their contention sums shift by dLam, every other active object reuses its
-// cached sum untouched.
+// cached sum untouched. Every active object other than obj is priced from its
+// cached cells; only obj's cells are prepared here.
 func (q *IncrementalEvaluator) scoreWith(j, obj int, frac float64) float64 {
 	ev := q.ev
 	var lamObj, dLam float64
@@ -199,7 +249,7 @@ func (q *IncrementalEvaluator) scoreWith(j, obj int, frac float64) float64 {
 			s += dLam * oTval[e]
 		}
 		chi := s/q.lam[j][t] + ev.selfChi[i]
-		mu += q.objTerm(j, i, lij, chi)
+		mu += q.objTerm(j, i, lij, chi, &q.cel[j][t])
 	}
 	if obj >= 0 && frac > Epsilon && ev.totalRate[obj] > 0 {
 		var s float64
@@ -210,7 +260,8 @@ func (q *IncrementalEvaluator) scoreWith(j, obj int, frac float64) float64 {
 			s = q.freshCon(j, obj)
 		}
 		chi := s/lamObj + ev.selfChi[obj]
-		mu += q.objTerm(j, obj, frac, chi)
+		c := ev.cells(j, obj, frac)
+		mu += q.objTerm(j, obj, frac, chi, &c)
 	}
 	return mu
 }
@@ -275,10 +326,11 @@ func (q *IncrementalEvaluator) Apply(obj, from, to int, delta float64) float64 {
 	return delta
 }
 
-// setFrac updates L[obj][j] and target j's cached state: the lambda entry is
-// recomputed exactly, the active list membership is adjusted, and every
-// active co-access partner's contention sum shifts by dLam * Overlap(i, obj)
-// (non-partners are untouched — their sums never contained an obj term).
+// setFrac updates L[obj][j] and target j's cached state: the lambda entry and
+// the entry cells are recomputed exactly, the active list membership is
+// adjusted, and every active co-access partner's contention sum shifts by
+// dLam * Overlap(i, obj) (non-partners are untouched — their sums never
+// contained an obj term).
 func (q *IncrementalEvaluator) setFrac(j, obj int, frac float64) {
 	lamNew := q.ev.totalRate[obj] * frac
 	p := q.findActive(j, obj)
@@ -303,11 +355,12 @@ func (q *IncrementalEvaluator) setFrac(j, obj int, frac float64) {
 	case frac != 0 && p < 0:
 		// S_obj was not cached while obj was inactive; build it before
 		// the object joins the active list.
-		q.insertActive(j, -(p + 1), obj, lamNew, q.freshCon(j, obj))
+		q.insertActive(j, -(p + 1), obj, lamNew, q.freshCon(j, obj), q.ev.cells(j, obj, frac))
 	case frac == 0 && p >= 0:
 		q.removeActive(j, p)
 	case p >= 0:
 		q.lam[j][p] = lamNew
+		q.cel[j][p] = q.ev.cells(j, obj, frac)
 	}
 	q.l.Set(obj, j, frac)
 }
@@ -317,7 +370,7 @@ func (q *IncrementalEvaluator) setFrac(j, obj int, frac float64) {
 // on the set of active objects, never on the history of moves that produced
 // it. Steady-state insertions reuse the capacity earlier removals left
 // behind, keeping the Apply hot loop allocation-free.
-func (q *IncrementalEvaluator) insertActive(j, t, obj int, lam, con float64) {
+func (q *IncrementalEvaluator) insertActive(j, t, obj int, lam, con float64, c entryCells) {
 	q.act[j] = append(q.act[j], 0)
 	copy(q.act[j][t+1:], q.act[j][t:])
 	q.act[j][t] = int32(obj)
@@ -327,6 +380,9 @@ func (q *IncrementalEvaluator) insertActive(j, t, obj int, lam, con float64) {
 	q.con[j] = append(q.con[j], 0)
 	copy(q.con[j][t+1:], q.con[j][t:])
 	q.con[j][t] = con
+	q.cel[j] = append(q.cel[j], entryCells{})
+	copy(q.cel[j][t+1:], q.cel[j][t:])
+	q.cel[j][t] = c
 }
 
 // removeActive drops the entry at position t from target j's active list.
@@ -342,6 +398,9 @@ func (q *IncrementalEvaluator) removeActive(j, t int) {
 	con := q.con[j]
 	copy(con[t:], con[t+1:])
 	q.con[j] = con[:len(con)-1]
+	cel := q.cel[j]
+	copy(cel[t:], cel[t+1:])
+	q.cel[j] = cel[:len(cel)-1]
 }
 
 // ForEachActive calls f for every object with a non-zero assignment on

@@ -1,11 +1,14 @@
 package layout
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"dblayout/internal/costmodel"
 	"dblayout/internal/rome"
 )
 
@@ -113,6 +116,57 @@ func randInstanceWith(tb testing.TB, rng *rand.Rand, n, m int, drop float64, mix
 	return inst
 }
 
+// costOnly hides a model's concrete type, so the kernel prices it through
+// Cost instead of cached table cells.
+type costOnly struct{ CostModel }
+
+// indexed returns a copy of m with its log axes filled, as a calibrated or
+// loaded model has them: a Save/Load round trip.
+func indexed(tb testing.TB, m *costmodel.Model) *costmodel.Model {
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	out, err := costmodel.Load(&buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// withModels returns inst on copies of its targets whose table models are
+// re-represented by two bits of models per target (target j reads bits
+// 2*(j%4) and 2*(j%4)+1): bit 0 selects an indexed table over the literal
+// one, bit 1 hides the model behind costOnly. models = 0 keeps every literal
+// table and 0b10101010 hides every model; every representation prices the
+// same costs.
+func withModels(tb testing.TB, inst *Instance, models uint8) *Instance {
+	c := *inst
+	c.Targets = make([]*Target, len(inst.Targets))
+	for j, t := range inst.Targets {
+		w := *t
+		rep := models >> (2 * (j % 4)) & 3
+		if rep&1 != 0 {
+			w.Model = indexed(tb, w.Model.(*costmodel.Model))
+		}
+		if rep&2 != 0 {
+			w.Model = costOnly{w.Model}
+		}
+		c.Targets[j] = &w
+	}
+	return &c
+}
+
+// checkBits requires two kernels' cached utilizations to be bit-identical.
+func checkBits(tb testing.TB, q, twin *IncrementalEvaluator, step int) {
+	tb.Helper()
+	for j := range q.mu {
+		if a, b := q.Utilization(j), twin.Utilization(j); math.Float64bits(a) != math.Float64bits(b) {
+			tb.Fatalf("step %d: target %d: kernel mu = %.17g, Cost-only twin mu = %.17g", step, j, a, b)
+		}
+	}
+}
+
 // randLayout builds a random valid layout: each row spreads over 1..m random
 // targets with normalized random weights.
 func randLayout(rng *rand.Rand, n, m int) *Layout {
@@ -190,7 +244,11 @@ func checkAgainstNaive(tb testing.TB, q *IncrementalEvaluator, ev *Evaluator, st
 // naive evaluation. drop sets the overlap sparsity (fraction of zero
 // pairs); pass -1 for the legacy dense 1/3-zero generator, any other value
 // also mixes dense and sparse overlap representations across workloads.
-func driveDifferential(tb testing.TB, seed int64, n, m, moves int, drop float64) {
+// models mixes literal tables, indexed tables and Cost-only wrappers across
+// the targets (see withModels). A twin kernel that prices every target
+// through Cost takes the same moves, and every probe and cached utilization
+// of the two must be bit-identical.
+func driveDifferential(tb testing.TB, seed int64, n, m, moves int, drop float64, models uint8) {
 	rng := rand.New(rand.NewSource(seed))
 	var inst *Instance
 	if drop < 0 {
@@ -198,10 +256,13 @@ func driveDifferential(tb testing.TB, seed int64, n, m, moves int, drop float64)
 	} else {
 		inst = randInstanceWith(tb, rng, n, m, drop, true)
 	}
+	inst = withModels(tb, inst, models)
 	ev := NewEvaluator(inst)
 	l := randLayout(rng, n, m)
 	q := ev.NewIncremental(l)
+	twin := NewEvaluator(withModels(tb, inst, 0b10101010)).NewIncremental(l.Clone())
 	checkAgainstNaive(tb, q, ev, -1)
+	checkBits(tb, q, twin, -1)
 
 	applied := 0
 	for step := 0; step < moves; step++ {
@@ -210,6 +271,10 @@ func driveDifferential(tb testing.TB, seed int64, n, m, moves int, drop float64)
 			continue
 		}
 		muF, muT := q.TryMove(obj, from, to, delta)
+		if tF, tT := twin.TryMove(obj, from, to, delta); math.Float64bits(muF) != math.Float64bits(tF) ||
+			math.Float64bits(muT) != math.Float64bits(tT) {
+			tb.Fatalf("step %d: TryMove (%.17g, %.17g), Cost-only twin (%.17g, %.17g)", step, muF, muT, tF, tT)
+		}
 
 		// Naive reference: apply the effective move to a clone, evaluate.
 		eff := q.EffectiveDelta(obj, from, delta)
@@ -232,6 +297,8 @@ func driveDifferential(tb testing.TB, seed int64, n, m, moves int, drop float64)
 			if got := q.Apply(obj, from, to, delta); got != eff {
 				tb.Fatalf("step %d: Apply returned %g, EffectiveDelta %g", step, got, eff)
 			}
+			twin.Apply(obj, from, to, delta)
+			checkBits(tb, q, twin, step)
 			applied++
 			// Apply's cached state must reproduce TryMove's probes exactly:
 			// both go through the same scoring primitive.
@@ -256,7 +323,8 @@ func driveDifferential(tb testing.TB, seed int64, n, m, moves int, drop float64)
 // TestIncrementalMatchesNaive is the differential property test of the
 // kernel's move path: random instances, random valid layouts, random move
 // sequences, with every probe and every cached utilization compared against
-// the naive evaluator within the 1e-9 contract.
+// the naive evaluator within the 1e-9 contract, and against a Cost-only twin
+// bit for bit.
 func TestIncrementalMatchesNaive(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
@@ -264,7 +332,7 @@ func TestIncrementalMatchesNaive(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed * 977))
 			n := 4 + rng.Intn(9)
 			m := 2 + rng.Intn(5)
-			driveDifferential(t, seed, n, m, 200, -1)
+			driveDifferential(t, seed, n, m, 200, -1, uint8(rng.Intn(256)))
 		})
 	}
 }
@@ -276,7 +344,7 @@ func TestIncrementalMatchesNaiveSparse(t *testing.T) {
 	for _, drop := range []float64{0, 0.5, 0.9, 1} {
 		drop := drop
 		t.Run(fmt.Sprintf("drop=%g", drop), func(t *testing.T) {
-			driveDifferential(t, int64(1000*drop)+13, 12, 5, 200, drop)
+			driveDifferential(t, int64(1000*drop)+13, 12, 5, 200, drop, 0b11100100)
 		})
 	}
 }
@@ -580,17 +648,18 @@ func TestIncrementalDimensionMismatch(t *testing.T) {
 
 // FuzzIncrementalKernel fuzzes the differential property: whatever the
 // instance shape, overlap sparsity level, representation mix (dense vectors
-// vs rome.SparseOverlap), layout, and move sequence, the kernel must agree
-// with the naive evaluator within the tolerance contract and preserve
-// layout integrity. sparsity = 255 selects the legacy dense-only generator;
-// anything else maps to a zero-pair probability in [0, 1] with mixed
-// representations.
+// vs rome.SparseOverlap), target model mix (literal tables, indexed tables,
+// Cost-only wrappers), layout, and move sequence, the kernel must agree with
+// the naive evaluator within the tolerance contract, give a Cost-only twin's
+// bits exactly, and preserve layout integrity. sparsity = 255 selects the
+// legacy dense-only generator; anything else maps to a zero-pair probability
+// in [0, 1] with mixed representations.
 func FuzzIncrementalKernel(f *testing.F) {
-	f.Add(int64(1), uint8(6), uint8(3), uint16(60), uint8(255))
-	f.Add(int64(2), uint8(2), uint8(2), uint16(10), uint8(0))
-	f.Add(int64(99), uint8(16), uint8(8), uint16(200), uint8(128))
-	f.Add(int64(7), uint8(10), uint8(4), uint16(120), uint8(230))
-	f.Fuzz(func(t *testing.T, seed int64, n, m uint8, moves uint16, sparsity uint8) {
+	f.Add(int64(1), uint8(6), uint8(3), uint16(60), uint8(255), uint8(0))
+	f.Add(int64(2), uint8(2), uint8(2), uint16(10), uint8(0), uint8(0b0110))
+	f.Add(int64(99), uint8(16), uint8(8), uint16(200), uint8(128), uint8(0b11100100))
+	f.Add(int64(7), uint8(10), uint8(4), uint16(120), uint8(230), uint8(0b01010101))
+	f.Fuzz(func(t *testing.T, seed int64, n, m uint8, moves uint16, sparsity, models uint8) {
 		nn := 2 + int(n%15)
 		mm := 2 + int(m%7)
 		steps := int(moves % 256)
@@ -598,6 +667,6 @@ func FuzzIncrementalKernel(f *testing.F) {
 		if sparsity != 255 {
 			drop = float64(sparsity) / 254
 		}
-		driveDifferential(t, seed, nn, mm, steps, drop)
+		driveDifferential(t, seed, nn, mm, steps, drop, models)
 	})
 }

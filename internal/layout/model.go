@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"dblayout/internal/costmodel"
 	"dblayout/internal/rome"
 )
 
@@ -18,6 +19,12 @@ import (
 // with distinct Layout values.
 type Evaluator struct {
 	inst *Instance
+
+	// tables[j] is target j's model when it is a calibrated table
+	// (*costmodel.Model), and nil for any other CostModel. The incremental
+	// kernel prices table targets from cached cells (see entryCells) and
+	// every other model through Cost.
+	tables []*costmodel.Model
 
 	// Cached per-object workload scalars.
 	readRate, writeRate []float64
@@ -47,6 +54,10 @@ func NewEvaluator(inst *Instance) *Evaluator {
 		runCount:  make([]float64, n),
 		totalRate: make([]float64, n),
 		selfChi:   make([]float64, n),
+		tables:    make([]*costmodel.Model, inst.M()),
+	}
+	for j, t := range inst.Targets {
+		ev.tables[j], _ = t.Model.(*costmodel.Model)
 	}
 	for i, w := range inst.Workloads.Workloads {
 		ev.readRate[i] = w.ReadRate
@@ -162,7 +173,12 @@ func (ev *Evaluator) objectUtil(l *Layout, i, j int, rates []float64) float64 {
 // the advisor's recovery layer (see AsModelFailure) instead of propagating
 // garbage into the solver.
 func (ev *Evaluator) cost(j int, model CostModel, write bool, size, runCount, chi float64) float64 {
-	c := model.Cost(write, size, runCount, chi)
+	return ev.guard(j, write, size, runCount, chi, model.Cost(write, size, runCount, chi))
+}
+
+// guard is cost's check of c, the per-request cost of one evaluation at the
+// given arguments, however it was computed.
+func (ev *Evaluator) guard(j int, write bool, size, runCount, chi, c float64) float64 {
 	if math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
 		dir := "read"
 		if write {

@@ -36,7 +36,9 @@ import (
 	"regexp"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dblayout"
@@ -225,15 +227,36 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// codeCounters holds one handler's server_requests_total counters, one per
+// status code, each resolved in the registry on the code's first request.
+// Two requests racing on a first use resolve the same counter.
+type codeCounters struct {
+	reg     *obs.Registry
+	handler string
+	// byCode is indexed by status code. net/http's WriteHeader panics on
+	// a code outside 100-999, so a request that reaches its counter has
+	// one inside.
+	byCode [1000]atomic.Pointer[obs.Counter]
+}
+
+func (c *codeCounters) counter(code int) *obs.Counter {
+	if ctr := c.byCode[code].Load(); ctr != nil {
+		return ctr
+	}
+	ctr := c.reg.Counter(obs.Name("server_requests_total", "handler", c.handler, "code", strconv.Itoa(code)))
+	c.byCode[code].Store(ctr)
+	return ctr
+}
+
 func (s *Server) route(mux *http.ServeMux, pattern, name string, h http.HandlerFunc) {
 	hist := s.reg.Histogram(obs.Name("server_request_seconds", "handler", name), obs.LatencyBuckets())
+	requests := &codeCounters{reg: s.reg, handler: name}
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
 		hist.Observe(time.Since(start).Seconds())
-		s.reg.Counter(obs.Name("server_requests_total",
-			"handler", name, "code", fmt.Sprint(sw.code))).Inc()
+		requests.counter(sw.code).Inc()
 		if s.log != nil {
 			s.log.Debug("request", "handler", name, "code", sw.code,
 				"elapsed", time.Since(start), "path", r.URL.Path)

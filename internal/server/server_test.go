@@ -17,6 +17,7 @@ import (
 	"dblayout/internal/control"
 	"dblayout/internal/layouttest"
 	"dblayout/internal/migrate"
+	"dblayout/internal/obs"
 	"dblayout/internal/storage"
 	"dblayout/internal/wal"
 )
@@ -650,5 +651,62 @@ func TestRestartWithoutJournal(t *testing.T) {
 	}
 	if objs := resp["objects"].([]interface{}); len(objs) != 4 {
 		t.Fatalf("restored objects = %v", objs)
+	}
+}
+
+// TestRequestCounters pins server_requests_total after the per-handler
+// counter tables: concurrent requests answered 200, 400 and 404 on two
+// handlers leave exactly those three series, with the right counts.
+func TestRequestCounters(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := New(Options{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	requests := []struct {
+		path string
+		code int
+	}{
+		{"/healthz", http.StatusOK},
+		{"/v1/tenants/-bad", http.StatusBadRequest},
+		{"/v1/tenants/nobody", http.StatusNotFound},
+		{"/v1/tenants/ghost", http.StatusNotFound},
+	}
+	const clients = 8
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, r := range requests {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("GET", r.path, nil))
+				if rec.Code != r.code {
+					t.Errorf("GET %s: %d, want %d", r.path, rec.Code, r.code)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	var prom bytes.Buffer
+	if err := reg.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(prom.String(), "\n") {
+		if strings.HasPrefix(line, "server_requests_total{") {
+			got = append(got, line)
+		}
+	}
+	want := []string{
+		fmt.Sprintf(`server_requests_total{handler="healthz",code="200"} %d`, clients),
+		fmt.Sprintf(`server_requests_total{handler="tenant_get",code="400"} %d`, clients),
+		fmt.Sprintf(`server_requests_total{handler="tenant_get",code="404"} %d`, 2*clients),
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("request counters:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

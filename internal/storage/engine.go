@@ -14,6 +14,10 @@
 //   - a flash SSD with flat, fast random access.
 //
 // Time is simulated seconds (float64); sizes and offsets are bytes.
+//
+// Every submitted request can be recorded as a TraceRecord. Traces persist
+// as JSON lines (Trace.WriteTo); ReadTrace decodes lines in exactly that
+// form without encoding/json and falls back to it for any other line.
 package storage
 
 import (

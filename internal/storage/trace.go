@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 )
 
 // TraceRecord describes one block I/O request as captured at submission,
@@ -57,20 +58,32 @@ func (t *Trace) FilterObject(obj int) *Trace {
 	return out
 }
 
-// WriteTo streams the trace as JSON lines. It implements io.WriterTo.
-func (t *Trace) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
+// WriteTo streams the trace as JSON lines, one encoding/json object per
+// record with its keys in field order. It implements io.WriterTo: n is the
+// number of bytes written to w.
+func (t *Trace) WriteTo(w io.Writer) (n int64, err error) {
+	cw := &countingWriter{w: w}
+	bw := bufio.NewWriter(cw)
 	enc := json.NewEncoder(bw)
 	for i := range t.Records {
 		if err := enc.Encode(&t.Records[i]); err != nil {
-			return n, fmt.Errorf("storage: encoding trace record %d: %w", i, err)
+			return cw.n, fmt.Errorf("storage: encoding trace record %d: %w", i, err)
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return n, err
-	}
-	return n, nil
+	err = bw.Flush()
+	return cw.n, err
+}
+
+// countingWriter counts the bytes its writer accepts.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // Validate rejects records no simulation could have produced: non-finite or
@@ -92,20 +105,29 @@ func (rec *TraceRecord) Validate() error {
 // ReadTrace parses a JSON-lines trace produced by WriteTo. Blank lines are
 // skipped; a malformed or invalid record is reported with its 1-based line
 // number so multi-gigabyte trace files can be repaired without bisection.
+//
+// A line in exactly WriteTo's form is decoded by decodeLine without
+// encoding/json; every other line, reordered keys and escaped strings
+// included, goes to json.Unmarshal. Both give the same records and the same
+// errors for every input.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	t := &Trace{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
 	line := 0
+	names := map[string]string{} // target names, shared by the records naming them
 	for sc.Scan() {
 		line++
 		b := bytes.TrimSpace(sc.Bytes())
 		if len(b) == 0 {
 			continue
 		}
-		var rec TraceRecord
-		if err := json.Unmarshal(b, &rec); err != nil {
-			return nil, fmt.Errorf("storage: trace line %d: %w", line, err)
+		rec, ok := decodeLine(b, names)
+		if !ok {
+			var err error
+			if rec, err = unmarshalRecord(b); err != nil {
+				return nil, fmt.Errorf("storage: trace line %d: %w", line, err)
+			}
 		}
 		if err := rec.Validate(); err != nil {
 			return nil, fmt.Errorf("storage: trace line %d: %w", line, err)
@@ -116,6 +138,176 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("storage: trace line %d: %w", line+1, err)
 	}
 	return t, nil
+}
+
+// unmarshalRecord decodes one line with encoding/json. It is a function of
+// its own so that only fallback lines pay for the heap record json.Unmarshal
+// needs.
+func unmarshalRecord(b []byte) (TraceRecord, error) {
+	var rec TraceRecord
+	err := json.Unmarshal(b, &rec)
+	return rec, err
+}
+
+// decodeLine decodes b if it is a record in exactly the form WriteTo writes:
+// the keys t, obj, stream, target, off, size and w in that order, no
+// whitespace, numbers in the JSON number grammar with no fraction or exponent
+// on the integer fields and no sign on stream, a target of printable ASCII
+// other than '"' and '\', and values the strconv calls encoding/json makes
+// accept. For such a line json.Unmarshal yields the same record. It reports
+// false for any other line. names interns target names: records naming the
+// same target share one string.
+func decodeLine(b []byte, names map[string]string) (TraceRecord, bool) {
+	l := traceLine{b: b}
+	l.expect(`{"t":`)
+	tm := l.float()
+	l.expect(`,"obj":`)
+	obj := l.integer()
+	l.expect(`,"stream":`)
+	stream := l.unsigned()
+	l.expect(`,"target":`)
+	name := l.str()
+	l.expect(`,"off":`)
+	off := l.integer()
+	l.expect(`,"size":`)
+	size := l.integer()
+	l.expect(`,"w":`)
+	w := l.boolean()
+	l.expect(`}`)
+	if l.bad || l.i != len(b) || int64(int(obj)) != obj {
+		return TraceRecord{}, false
+	}
+	target, ok := names[string(name)]
+	if !ok {
+		target = string(name)
+		names[target] = target
+	}
+	return TraceRecord{Time: tm, Object: int(obj), Stream: stream, Target: target,
+		Offset: off, Size: size, Write: w}, true
+}
+
+// traceLine is decodeLine's cursor over one line. The first step that does
+// not match sets bad, and every later step is then a no-op.
+type traceLine struct {
+	b   []byte
+	i   int
+	bad bool
+}
+
+// expect consumes s.
+func (l *traceLine) expect(s string) {
+	if l.bad || len(l.b)-l.i < len(s) || string(l.b[l.i:l.i+len(s)]) != s {
+		l.bad = true
+		return
+	}
+	l.i += len(s)
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// digits consumes a run of decimal digits and reports whether it had any.
+func (l *traceLine) digits() bool {
+	start := l.i
+	for l.i < len(l.b) && isDigit(l.b[l.i]) {
+		l.i++
+	}
+	return l.i > start
+}
+
+// number consumes a JSON number, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?,
+// without the minus sign unless signed and without fraction and exponent
+// unless real.
+func (l *traceLine) number(signed, real bool) []byte {
+	if l.bad {
+		return nil
+	}
+	start := l.i
+	if signed && l.i < len(l.b) && l.b[l.i] == '-' {
+		l.i++
+	}
+	switch {
+	case l.i < len(l.b) && l.b[l.i] == '0':
+		l.i++
+	case !l.digits():
+		l.bad = true
+		return nil
+	}
+	if real && l.i < len(l.b) && l.b[l.i] == '.' {
+		l.i++
+		if !l.digits() {
+			l.bad = true
+			return nil
+		}
+	}
+	if real && l.i < len(l.b) && (l.b[l.i] == 'e' || l.b[l.i] == 'E') {
+		l.i++
+		if l.i < len(l.b) && (l.b[l.i] == '+' || l.b[l.i] == '-') {
+			l.i++
+		}
+		if !l.digits() {
+			l.bad = true
+			return nil
+		}
+	}
+	return l.b[start:l.i]
+}
+
+// float, integer and unsigned consume a number and convert it as encoding/json does
+// for a float64, int and uint64 field.
+func (l *traceLine) float() float64 {
+	s := l.number(true, true)
+	if l.bad {
+		return 0
+	}
+	v, err := strconv.ParseFloat(string(s), 64)
+	l.bad = err != nil
+	return v
+}
+
+func (l *traceLine) integer() int64 {
+	s := l.number(true, false)
+	if l.bad {
+		return 0
+	}
+	v, err := strconv.ParseInt(string(s), 10, 64)
+	l.bad = err != nil
+	return v
+}
+
+func (l *traceLine) unsigned() uint64 {
+	s := l.number(false, false)
+	if l.bad {
+		return 0
+	}
+	v, err := strconv.ParseUint(string(s), 10, 64)
+	l.bad = err != nil
+	return v
+}
+
+// str consumes a quoted string of printable ASCII other than '"' and '\'
+// and returns its contents.
+func (l *traceLine) str() []byte {
+	l.expect(`"`)
+	if l.bad {
+		return nil
+	}
+	start := l.i
+	for l.i < len(l.b) && l.b[l.i] >= 0x20 && l.b[l.i] < 0x7f && l.b[l.i] != '"' && l.b[l.i] != '\\' {
+		l.i++
+	}
+	s := l.b[start:l.i]
+	l.expect(`"`)
+	return s
+}
+
+// boolean consumes true or false.
+func (l *traceLine) boolean() bool {
+	if !l.bad && l.i < len(l.b) && l.b[l.i] == 't' {
+		l.expect("true")
+		return true
+	}
+	l.expect("false")
+	return false
 }
 
 // multiTracer fans records out to several tracers.

@@ -2,7 +2,10 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -15,8 +18,12 @@ func TestTraceRoundTrip(t *testing.T) {
 		{Time: 0.9, Object: 2, Stream: 8, Target: "d1", Offset: 0, Size: 131072, Write: true},
 	}}
 	var buf bytes.Buffer
-	if _, err := in.WriteTo(&buf); err != nil {
+	n, err := in.WriteTo(&buf)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if n != int64(buf.Len()) {
+		t.Fatalf("WriteTo returned %d, wrote %d bytes", n, buf.Len())
 	}
 	out, err := ReadTrace(&buf)
 	if err != nil {
@@ -126,5 +133,73 @@ func TestRunPatternWriteFraction(t *testing.T) {
 	frac := float64(writes) / 2000
 	if frac < 0.25 || frac > 0.35 {
 		t.Fatalf("write fraction %.3f, want ~0.3", frac)
+	}
+}
+
+// TestDecodeLineTakesWriteToForm checks that the fast decoder, not the json
+// fallback, reads every WriteTo line whose target json leaves unescaped, and
+// that it declines the others.
+func TestDecodeLineTakesWriteToForm(t *testing.T) {
+	tr := edgeTrace()
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), []byte("\n"))
+	if len(lines) != tr.Len() {
+		t.Fatalf("%d lines for %d records", len(lines), tr.Len())
+	}
+	names := map[string]string{}
+	for i, want := range tr.Records {
+		plain := !strings.ContainsAny(want.Target, "\"\\<>&")
+		for _, c := range []byte(want.Target) {
+			plain = plain && c >= 0x20 && c < 0x7f
+		}
+		rec, ok := decodeLine(lines[i], names)
+		if ok != plain {
+			t.Fatalf("line %d (%s): decoded %v, want %v", i+1, lines[i], ok, plain)
+		}
+		if ok && (rec != want || math.Signbit(rec.Time) != math.Signbit(want.Time)) {
+			t.Fatalf("line %d: decoded %+v, want %+v", i+1, rec, want)
+		}
+	}
+}
+
+// benchTrace returns a deterministic trace of about 2.5 MB in WriteTo's
+// form, shaped like a replayed TPC-H + TPC-C window: 40 objects on four
+// disks, exponential inter-arrival times, 8 KiB and 128 KiB requests.
+func benchTrace(b *testing.B) []byte {
+	rng := newTestRand(1)
+	tr := &Trace{}
+	var now float64
+	for i := 0; i < 24000; i++ {
+		now += rng.ExpFloat64() * 2.5e-3
+		size := int64(8192)
+		if rng.Intn(3) == 0 {
+			size = 131072
+		}
+		tr.Record(TraceRecord{
+			Time: now, Object: rng.Intn(40), Stream: uint64(rng.Intn(5000)),
+			Target: fmt.Sprintf("disk%d", rng.Intn(4)), Offset: rng.Int63n(1<<37) &^ 4095,
+			Size: size, Write: rng.Intn(5) == 0,
+		})
+	}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkReadTrace decodes a 2.5 MB trace per op and reports MB/s.
+func BenchmarkReadTrace(b *testing.B) {
+	raw := benchTrace(b)
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadTrace(bytes.NewReader(raw)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
