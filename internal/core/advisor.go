@@ -119,7 +119,9 @@ type Recommendation struct {
 	FinalObjective   float64
 
 	// SolveTime and RegularizeTime break down where the advisor spent
-	// its time (paper Fig. 19). RegularizeTime includes PolishTime.
+	// its time (paper Fig. 19). RegularizeTime includes PolishTime. A
+	// portfolio's racers post-process inside the solve, so there
+	// RegularizeTime is the winner's share of SolveTime.
 	SolveTime      time.Duration
 	RegularizeTime time.Duration
 	// InitialTime is the time spent constructing the heuristic initial
@@ -325,7 +327,7 @@ func (a *Advisor) oneRound(r *run, init *layout.Layout, startIdx, round int) (*R
 	rec.InitialObjective, _ = a.safeObjective(init)
 
 	start := time.Now()
-	res, err := a.safeSolve(r, init, startIdx, round)
+	res, post, err := a.safeSolve(r, init, startIdx, round)
 	rec.SolveTime = time.Since(start)
 	if err != nil {
 		if !errors.Is(err, ErrModelFailure) {
@@ -373,30 +375,27 @@ func (a *Advisor) oneRound(r *run, init *layout.Layout, startIdx, round int) (*R
 		return rec, nil
 	}
 
-	start = time.Now()
-	reg, polish, cut, err := a.safeRegularize(r, res.Layout)
-	rec.RegularizeTime = time.Since(start)
-	rec.PolishTime = polish
-	if err != nil {
-		// Regularization failed (or the model failed inside it). The
-		// solver layout may be non-regular, so fall back to the
-		// initial layout, which is both valid and as regular as the
-		// caller's starting point.
-		r.note("regularize", "initial", err)
-		rec.Final = init.Clone()
-		rec.FinalObjective = rec.InitialObjective
-		return rec, nil
+	if post == nil {
+		p := a.postProcess(r, res.Layout)
+		post = &p
 	}
-	if cut {
+	rec.RegularizeTime = post.elapsed
+	rec.PolishTime = post.polish
+	if post.cut {
 		r.note("regularize", "best-so-far", ErrBudgetExceeded)
 	}
-	rec.Final = reg
-	if rec.FinalObjective, err = a.safeObjective(reg); err != nil {
-		r.note("regularize", "initial", err)
+	if post.err != nil {
+		// Regularization failed (or the model failed inside it or in
+		// evaluating its result). The solver layout may be
+		// non-regular, so fall back to the initial layout, which is
+		// both valid and as regular as the caller's starting point.
+		r.note("regularize", "initial", post.err)
 		rec.Final = init.Clone()
 		rec.FinalObjective = rec.InitialObjective
 		return rec, nil
 	}
+	rec.Final = post.reg
+	rec.FinalObjective = post.obj
 	a.log("regularize", "duration", rec.RegularizeTime, "polish", rec.PolishTime,
 		"objective", rec.FinalObjective,
 		"delta", rec.SolverObjective-rec.FinalObjective)
@@ -407,8 +406,10 @@ func (a *Advisor) oneRound(r *run, init *layout.Layout, startIdx, round int) (*R
 // budget, converting cost-model panics into ErrModelFailure-classified
 // errors (including panics raised on solver worker goroutines, which the
 // nlp worker pool re-raises on this goroutine). An unknown solver comes
-// back as an ordinary error.
-func (a *Advisor) safeSolve(r *run, init *layout.Layout, startIdx, round int) (res nlp.Result, err error) {
+// back as an ordinary error. A solver that already post-processed its
+// layout (the portfolio, which ranks its racers that way) returns that
+// post-processing; the others return nil.
+func (a *Advisor) safeSolve(r *run, init *layout.Layout, startIdx, round int) (res nlp.Result, post *processed, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = layout.AsModelFailure(p)
@@ -426,21 +427,49 @@ func (a *Advisor) safeSolve(r *run, init *layout.Layout, startIdx, round int) (r
 			// back the starting layout as the "best so far".
 			obj, oerr := a.safeObjective(init)
 			if oerr != nil {
-				return nlp.Result{}, oerr
+				return nlp.Result{}, nil, oerr
 			}
-			return nlp.Result{Layout: init.Clone(), Objective: obj, Stop: nlp.ErrBudgetExceeded}, nil
+			return nlp.Result{Layout: init.Clone(), Objective: obj, Stop: nlp.ErrBudgetExceeded}, nil, nil
 		}
 		nopt.Budget = left
 	}
 	switch a.opt.Solver {
 	case SolverTransfer:
-		return nlp.TransferSearch(r.ctx, a.ev, a.inst, init, nopt), nil
+		return nlp.TransferSearch(r.ctx, a.ev, a.inst, init, nopt), nil, nil
 	case SolverAnneal:
-		return nlp.Anneal(r.ctx, a.ev, a.inst, init, nopt), nil
+		return nlp.Anneal(r.ctx, a.ev, a.inst, init, nopt), nil, nil
 	case SolverPortfolio:
-		return a.portfolioSolve(r, init, nopt), nil
+		res, post = a.portfolioSolve(r, init, nopt)
+		return res, post, nil
 	}
-	return res, fmt.Errorf("core: unknown solver %v", a.opt.Solver)
+	return res, nil, fmt.Errorf("core: unknown solver %v", a.opt.Solver)
+}
+
+// processed is one solver layout's post-processing: the regularized and,
+// unless SkipPolish, polished layout with its objective, the time both
+// passes took (the recommendation's RegularizeTime) and the polish's share
+// of it, whether the run's deadline cut the polish short, and the first
+// failure.
+type processed struct {
+	reg     *layout.Layout
+	obj     float64
+	elapsed time.Duration
+	polish  time.Duration
+	cut     bool
+	err     error
+}
+
+// postProcess regularizes and polishes a solver layout (see safeRegularize)
+// and evaluates the result.
+func (a *Advisor) postProcess(r *run, solved *layout.Layout) processed {
+	start := time.Now()
+	var p processed
+	p.reg, p.polish, p.cut, p.err = a.safeRegularize(r, solved)
+	p.elapsed = time.Since(start)
+	if p.err == nil {
+		p.obj, p.err = a.safeObjective(p.reg)
+	}
+	return p
 }
 
 // safeRegularize regularizes the solver layout and, unless SkipPolish,

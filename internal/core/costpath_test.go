@@ -26,26 +26,31 @@ func costOnlyInstance(inst *layout.Instance) *layout.Instance {
 	return &c
 }
 
-// TestCostFallbackMatchesCells pins the kernel's two pricing paths to each
-// other at the solver level: TransferSearch and Recommend on calibrated-table
-// targets (priced from cached cells) and on the same models behind a
-// Cost-only wrapper (priced through Cost) must return the same layout, the
-// same objective bits and the same evaluation count.
-func TestCostFallbackMatchesCells(t *testing.T) {
-	fleet := Options{
+// fleetOptions is a bounded fleet-scale advise: one pruned transfer round
+// without restarts or polish.
+func fleetOptions() Options {
+	return Options{
 		Solver: SolverTransfer,
 		NLP: nlp.Options{Seed: 1, Restarts: nlp.NoRestarts, MaxIters: 64,
 			PruneObjects: 64, PruneTargets: 16},
 		Rounds:     1,
 		SkipPolish: true,
 	}
+}
+
+// TestCostFallbackMatchesCells pins the kernel's two pricing paths to each
+// other at the solver level: TransferSearch and Recommend on calibrated-table
+// targets (priced from cached cells) and on the same models behind a
+// Cost-only wrapper (priced through Cost) must return the same layout, the
+// same objective bits and the same evaluation count.
+func TestCostFallbackMatchesCells(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		inst *layout.Instance
 		opt  Options
 	}{
 		{"Replicated(10,4)", layouttest.Replicated(10, 4), Options{NLP: nlp.Options{Seed: 1}}},
-		{"Fleet(1024,256)", layouttest.Fleet(1024, 256), fleet},
+		{"Fleet(1024,256)", layouttest.Fleet(1024, 256), fleetOptions()},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			wrapped := costOnlyInstance(c.inst)

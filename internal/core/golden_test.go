@@ -1,0 +1,70 @@
+package core
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"testing"
+
+	"dblayout/internal/layout"
+	"dblayout/internal/layouttest"
+	"dblayout/internal/nlp"
+)
+
+// layoutHash is an FNV-64a hash of l's fractions, bit for bit, in row-major
+// order.
+func layoutHash(l *layout.Layout) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for i := 0; i < l.N; i++ {
+		for j := 0; j < l.M; j++ {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(l.At(i, j)))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// TestRecommendGolden pins the advisor's output bits: the final objective,
+// the solver's evaluation count and a hash of the final layout. A change
+// that only makes the evaluation kernel faster must leave all three as they
+// are; one that moves them changes what every caller gets. The values were
+// recorded on amd64, where Go never fuses a multiply and an add; other
+// architectures may, so they skip.
+func TestRecommendGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden bits are recorded on amd64, not %s", runtime.GOARCH)
+	}
+	for _, c := range []struct {
+		name    string
+		inst    *layout.Instance
+		opt     Options
+		objBits uint64
+		evals   int
+		hash    uint64
+	}{
+		{"Replicated(10,4)", layouttest.Replicated(10, 4), Options{NLP: nlp.Options{Seed: 1}},
+			0x401318c7e28240b7, 8034, 0x94a150b5e4ca6ee},
+		{"Replicated(10,10)", layouttest.Replicated(10, 10), Options{NLP: nlp.Options{Seed: 1}},
+			0x3ffe95dc6660687c, 195314, 0x74e41666a35c5f05},
+		{"Fleet(1024,256)", layouttest.Fleet(1024, 256), fleetOptions(),
+			0x3ff1a5e3fe2deb4e, 15338, 0xe43f866981068ecf},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			adv, err := New(c.inst, c.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := adv.Recommend()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := math.Float64bits(rec.FinalObjective)
+			if h := layoutHash(rec.Final); got != c.objBits || rec.SolverEvals != c.evals || h != c.hash {
+				t.Errorf("FinalObjective %.17g (bits %#x), SolverEvals %d, Final hash %#x; want bits %#x, %d evals, hash %#x",
+					rec.FinalObjective, got, rec.SolverEvals, h, c.objBits, c.evals, c.hash)
+			}
+		})
+	}
+}

@@ -19,7 +19,7 @@ func sameLayout(a, b *layout.Layout) bool {
 	}
 	for i := 0; i < a.N; i++ {
 		for j := 0; j < a.M; j++ {
-			if a.At(i, j) != b.At(i, j) {
+			if math.Float64bits(a.At(i, j)) != math.Float64bits(b.At(i, j)) {
 				return false
 			}
 		}
@@ -173,6 +173,43 @@ func TestPortfolioNeverWorseThanTransfer(t *testing.T) {
 	transfer, portfolio := final(SolverTransfer), final(SolverPortfolio)
 	if portfolio > transfer {
 		t.Fatalf("portfolio ended at %.6f, worse than transfer alone (%.6f)", portfolio, transfer)
+	}
+}
+
+// TestPortfolioFinalIsWinnersPostProcessing pins the round's reuse of the
+// winning racer's post-processing: a portfolio recommendation must be
+// exactly what regularizing and (unless SkipPolish) polishing its solver
+// layout without a deadline gives, at that layout's objective bits.
+func TestPortfolioFinalIsWinnersPostProcessing(t *testing.T) {
+	for _, c := range []struct {
+		reps, m    int
+		skipPolish bool
+	}{{10, 4, false}, {10, 10, false}, {10, 10, true}} {
+		inst := layouttest.Replicated(c.reps, c.m)
+		adv, err := New(inst, Options{Solver: SolverPortfolio, NLP: nlp.Options{Seed: 1}, SkipPolish: c.skipPolish})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := adv.Recommend()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := adv.Evaluator()
+		want, err := Regularize(ev, inst, rec.Solver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !c.skipPolish {
+			want, _ = PolishRegular(ev, inst, want, time.Time{})
+		}
+		if !sameLayout(rec.Final, want) {
+			t.Errorf("Replicated(%d,%d) SkipPolish %v: Final is not the post-processed solver layout",
+				c.reps, c.m, c.skipPolish)
+		}
+		if got, obj := rec.FinalObjective, ev.MaxUtilization(want); math.Float64bits(got) != math.Float64bits(obj) {
+			t.Errorf("Replicated(%d,%d) SkipPolish %v: FinalObjective %.17g, post-processed solver layout %.17g",
+				c.reps, c.m, c.skipPolish, got, obj)
+		}
 	}
 }
 

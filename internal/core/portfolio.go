@@ -23,13 +23,14 @@ func (a *Advisor) portfolioRacers() []racer {
 	return racers
 }
 
-// racerOutcome is one portfolio member's finished solve, its score (see
-// score), and the trace events it buffered when a user hook is installed
-// (racers never call the user hook directly — it is not safe for concurrent
-// use).
+// racerOutcome is one portfolio member's finished solve, its score and the
+// post-processing it was scored on (see score), and the trace events it
+// buffered when a user hook is installed (racers never call the user hook
+// directly — it is not safe for concurrent use).
 type racerOutcome struct {
 	res    nlp.Result
 	score  float64
+	post   *processed
 	events []nlp.TraceEvent
 }
 
@@ -39,7 +40,8 @@ type racerOutcome struct {
 //   - the racer with the strictly lowest score wins: the objective its
 //     layout reaches after the round's own post-processing (see score);
 //     ties keep the earlier racer in portfolioRacers order, so the choice
-//     never depends on scheduling;
+//     never depends on scheduling. The winner's post-processing comes back
+//     with the result, so the round does not repeat it;
 //   - Iters and Evals sum the whole portfolio's effort, while Restarts,
 //     Workers and Trajectory describe the winning racer's run;
 //   - buffered trace events are delivered after the race in racer order,
@@ -53,7 +55,7 @@ type racerOutcome struct {
 // reproducible from the seed alone. Cost-model panics on racer goroutines
 // are captured and re-raised here so safeSolve's recover classifies them as
 // ErrModelFailure exactly as in a serial solve.
-func (a *Advisor) portfolioSolve(r *run, init *layout.Layout, nopt nlp.Options) nlp.Result {
+func (a *Advisor) portfolioSolve(r *run, init *layout.Layout, nopt nlp.Options) (nlp.Result, *processed) {
 	racers := a.portfolioRacers()
 	userTrace := nopt.Trace
 	outs := make([]racerOutcome, len(racers))
@@ -82,7 +84,7 @@ func (a *Advisor) portfolioSolve(r *run, init *layout.Layout, nopt nlp.Options) 
 				opt.Trace = func(ev nlp.TraceEvent) { out.events = append(out.events, ev) }
 			}
 			outs[i].res = solve(r.ctx, a.ev, a.inst, init, opt)
-			outs[i].score = a.score(r, outs[i].res)
+			outs[i].score, outs[i].post = a.score(r, outs[i].res)
 		}(i, solve)
 	}
 	wg.Wait()
@@ -93,29 +95,25 @@ func (a *Advisor) portfolioSolve(r *run, init *layout.Layout, nopt nlp.Options) 
 }
 
 // score is the objective res's layout reaches after this round's own
-// post-processing: regularized and, unless SkipPolish, polished. A round
-// that skips post-processing (SkipRegularization, or a cancelled solve)
-// scores the raw solver objective. A layout whose post-processing fails
+// post-processing, returned with that post-processing. A round that skips
+// post-processing (SkipRegularization, or a cancelled solve) scores the raw
+// solver objective and returns none. A layout whose post-processing fails
 // scores +Inf.
-func (a *Advisor) score(r *run, res nlp.Result) float64 {
+func (a *Advisor) score(r *run, res nlp.Result) (float64, *processed) {
 	if a.opt.SkipRegularization || isContextErr(res.Stop) {
-		return res.Objective
+		return res.Objective, nil
 	}
-	reg, _, _, err := a.safeRegularize(r, res.Layout)
-	if err != nil {
-		return math.Inf(1)
+	p := a.postProcess(r, res.Layout)
+	if p.err != nil {
+		return math.Inf(1), &p
 	}
-	obj, err := a.safeObjective(reg)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return obj
+	return p.obj, &p
 }
 
-// mergeRace folds the racers' outcomes into one Result and replays buffered
-// trace events as a single well-formed stream. Racer order is fixed, so the
-// merge is deterministic.
-func mergeRace(outs []racerOutcome, userTrace func(nlp.TraceEvent)) nlp.Result {
+// mergeRace folds the racers' outcomes into one Result, returned with the
+// winner's post-processing, and replays buffered trace events as a single
+// well-formed stream. Racer order is fixed, so the merge is deterministic.
+func mergeRace(outs []racerOutcome, userTrace func(nlp.TraceEvent)) (nlp.Result, *processed) {
 	win := 0
 	for i := 1; i < len(outs); i++ {
 		if outs[i].score < outs[win].score {
@@ -165,5 +163,5 @@ func mergeRace(outs []racerOutcome, userTrace func(nlp.TraceEvent)) nlp.Result {
 	default:
 		res.Stop = nil
 	}
-	return res
+	return res, outs[win].post
 }

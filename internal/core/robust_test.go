@@ -133,6 +133,49 @@ func TestRecommendContextBudget(t *testing.T) {
 	}
 }
 
+// TestExpiredBudgetRegularizesOnce bounds what an advise does once its
+// budget is gone: whatever the solver, the solve is skipped, the one-shot
+// Sec. 4.3 regularizer runs on the initial layout, the polish stops before
+// its first object and no further round runs. The recommendation is
+// Degraded with ErrBudgetExceeded and is exactly the regularized initial
+// layout, which polish would have improved.
+func TestExpiredBudgetRegularizesOnce(t *testing.T) {
+	inst := layouttest.Replicated(10, 4)
+	init := layout.New(inst.N(), inst.M())
+	for i := 0; i < init.N; i++ {
+		row := make([]float64, init.M)
+		row[i%init.M] = 0.5
+		row[(i+1)%init.M] = 0.25
+		row[(i+2)%init.M] = 0.25
+		init.SetRow(i, row)
+	}
+	ev := layout.NewEvaluator(inst)
+	want, err := Regularize(ev, inst, init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if polished, _ := PolishRegular(ev, inst, want, time.Time{}); sameLayout(polished, want) {
+		t.Fatal("polish leaves the regularized initial layout as it is; the case cannot tell a polish ran")
+	}
+	for _, s := range []Solver{SolverTransfer, SolverAnneal, SolverPortfolio} {
+		adv, err := New(inst, Options{Solver: s, NLP: nlp.Options{Seed: 1},
+			InitialLayouts: []*layout.Layout{init}, SolveBudget: time.Nanosecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := adv.Recommend()
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		if !rec.Degraded || !errors.Is(rec.Degradation, ErrBudgetExceeded) {
+			t.Errorf("%v: expired budget not marked Degraded(ErrBudgetExceeded): %v", s, rec.Degradation)
+		}
+		if !sameLayout(rec.Final, want) {
+			t.Errorf("%v: Final is not Regularize of the initial layout", s)
+		}
+	}
+}
+
 // TestPolishRegularDeadline pins the polish pass's deadline contract on a
 // layout that polish improves (0.8135 -> 0.63): a deadline already in the
 // past returns the input unchanged and reports the cut, and a zero deadline

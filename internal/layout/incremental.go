@@ -14,6 +14,7 @@ import (
 //   - the request-rate entry lambda_ij = totalRate_i * L[i][j],
 //   - the contention sum S_ij = sum_{k != i} lambda_kj * Overlap(i, k),
 //   - the entry's cost-table cells (see entryCells),
+//   - the entry's priced term mu_ij of Eq. 1,
 //   - the current utilization mu_j,
 //
 // held in parallel slices ordered by ascending object id, so summation
@@ -24,8 +25,11 @@ import (
 // and scanned every target twice regardless of occupancy). Scoring a
 // candidate move is a merge-walk of the target's active list with the moved
 // object's sparse overlap row — O(active + degree) with zero allocations.
-// Re-pricing an active object whose fraction is unchanged evaluates its
-// cached cells: four Curve.At calls per direction and no logarithm.
+// By Eq. 2 a move changes only the moved object's lambda, so only its
+// co-access partners see their contention shift: a probe adds every other
+// entry's cached term and re-prices just the partners (from their cached
+// cells: four Curve.At calls per direction and no logarithm) and the moved
+// object itself.
 //
 // The kernel agrees with the naive Evaluator to within 1e-9 on every target
 // utilization (see DESIGN.md, "Evaluation-kernel tolerance contract"): exact
@@ -51,6 +55,7 @@ type IncrementalEvaluator struct {
 	lam [][]float64    // lam[j][t] = totalRate[act[j][t]] * L[act[j][t]][j]
 	con [][]float64    // con[j][t] = S_ij for i = act[j][t]
 	cel [][]entryCells // cel[j][t]: the cells of i = act[j][t] at L[i][j]
+	ter [][]float64    // ter[j][t]: mu_ij for i = act[j][t] (see price)
 	mu  []float64      // mu[j]: cached utilization of target j
 }
 
@@ -114,6 +119,7 @@ func (ev *Evaluator) NewIncremental(l *Layout) *IncrementalEvaluator {
 		lam: make([][]float64, m),
 		con: make([][]float64, m),
 		cel: make([][]entryCells, m),
+		ter: make([][]float64, m),
 		mu:  make([]float64, m),
 	}
 	// One pass in row-major (layout storage) order: each target's active
@@ -131,6 +137,10 @@ func (ev *Evaluator) NewIncremental(l *Layout) *IncrementalEvaluator {
 		q.con[j] = make([]float64, len(q.act[j]))
 		for t, i := range q.act[j] {
 			q.con[j][t] = q.freshCon(j, int(i))
+		}
+		q.ter[j] = make([]float64, len(q.act[j]))
+		for t := range q.act[j] {
+			q.ter[j][t] = q.price(j, t, q.con[j][t])
 		}
 		q.mu[j] = q.scoreWith(j, -1, 0)
 	}
@@ -201,6 +211,23 @@ func (q *IncrementalEvaluator) objTerm(j, i int, lij, chi float64, c *entryCells
 	return mu
 }
 
+// price returns the term of entry t of target j at contention sum s, from
+// the entry's cached lambda and cells: mu_ij of Eq. 1 for i = act[j][t], or
+// 0 for an entry Eq. 1 does not count (lij <= Epsilon or an idle object). A
+// utilization is a sum of non-negative terms starting from +0, so adding a
+// 0 term leaves it bit for bit unchanged. A cached term is price at the
+// entry's own sum; a probe prices a partner at its shifted sum.
+func (q *IncrementalEvaluator) price(j, t int, s float64) float64 {
+	ev := q.ev
+	i := int(q.act[j][t])
+	lij := q.l.At(i, j)
+	if lij <= Epsilon || ev.totalRate[i] <= 0 {
+		return 0
+	}
+	chi := s/q.lam[j][t] + ev.selfChi[i]
+	return q.objTerm(j, i, lij, chi, &q.cel[j][t])
+}
+
 // scoreWith computes mu_j as if L[obj][j] were frac, against the cached state
 // and without mutating anything. obj = -1 scores the target as-is. This is
 // the kernel's single scoring primitive: TryMove, Apply, ScoreObjectFrac and
@@ -209,9 +236,12 @@ func (q *IncrementalEvaluator) objTerm(j, i int, lij, chi float64, c *entryCells
 //
 // The active-list walk carries a merge pointer into obj's sparse overlap row
 // (tval, the Overlap(i, obj) direction): only obj's co-access partners see
-// their contention sums shift by dLam, every other active object reuses its
-// cached sum untouched. Every active object other than obj is priced from its
-// cached cells; only obj's cells are prepared here.
+// their contention sums shift by dLam. They are priced here from their
+// cached cells, exactly as setFrac re-prices them after the move (it shifts
+// con in the same form). Every other active object adds its cached term;
+// only obj's cells are prepared here. A probe thus costs O(active)
+// additions plus O(partners) pricings, and sums the same terms in the same
+// ascending order as pricing every entry would.
 func (q *IncrementalEvaluator) scoreWith(j, obj int, frac float64) float64 {
 	ev := q.ev
 	var lamObj, dLam float64
@@ -226,30 +256,27 @@ func (q *IncrementalEvaluator) scoreWith(j, obj int, frac float64) float64 {
 			lamOld = q.lam[j][p]
 			objPos = p
 		}
-		dLam = lamObj - lamOld
-		oIdx, _, oTval = q.ov.row(obj)
+		if dLam = lamObj - lamOld; dLam != 0 {
+			oIdx, _, oTval = q.ov.row(obj)
+		}
 	}
 	var mu float64
 	e := 0
-	act := q.act[j]
+	act, ter := q.act[j], q.ter[j]
 	for t, i32 := range act {
+		if t == objPos {
+			continue
+		}
 		for e < len(oIdx) && oIdx[e] < i32 {
 			e++
 		}
-		i := int(i32)
-		if i == obj {
-			continue
-		}
-		lij := q.l.At(i, j)
-		if lij <= Epsilon || ev.totalRate[i] <= 0 {
+		if e == len(oIdx) || oIdx[e] != i32 {
+			mu += ter[t]
 			continue
 		}
 		s := q.con[j][t]
-		if dLam != 0 && e < len(oIdx) && oIdx[e] == i32 {
-			s += dLam * oTval[e]
-		}
-		chi := s/q.lam[j][t] + ev.selfChi[i]
-		mu += q.objTerm(j, i, lij, chi, &q.cel[j][t])
+		s += dLam * oTval[e]
+		mu += q.price(j, t, s)
 	}
 	if obj >= 0 && frac > Epsilon && ev.totalRate[obj] > 0 {
 		var s float64
@@ -330,8 +357,13 @@ func (q *IncrementalEvaluator) Apply(obj, from, to int, delta float64) float64 {
 // the entry cells are recomputed exactly, the active list membership is
 // adjusted, and every active co-access partner's contention sum shifts by
 // dLam * Overlap(i, obj) (non-partners are untouched — their sums never
-// contained an obj term).
+// contained an obj term). The terms of the shifted partners and of obj's own
+// entry are re-priced; every other cached term still holds. Apply and
+// SetObjectRow probe each change through scoreWith first, so each re-pricing
+// repeats a pricing that has just succeeded with the same arguments and
+// cannot raise a new model failure.
 func (q *IncrementalEvaluator) setFrac(j, obj int, frac float64) {
+	q.l.Set(obj, j, frac)
 	lamNew := q.ev.totalRate[obj] * frac
 	p := q.findActive(j, obj)
 	var lamOld float64
@@ -348,6 +380,7 @@ func (q *IncrementalEvaluator) setFrac(j, obj int, frac float64) {
 			}
 			if e < len(oIdx) && oIdx[e] == i32 && int(i32) != obj {
 				q.con[j][t] += dLam * oTval[e]
+				q.ter[j][t] = q.price(j, t, q.con[j][t])
 			}
 		}
 	}
@@ -355,21 +388,26 @@ func (q *IncrementalEvaluator) setFrac(j, obj int, frac float64) {
 	case frac != 0 && p < 0:
 		// S_obj was not cached while obj was inactive; build it before
 		// the object joins the active list.
-		q.insertActive(j, -(p + 1), obj, lamNew, q.freshCon(j, obj), q.ev.cells(j, obj, frac))
+		p = -(p + 1)
+		q.insertActive(j, p, obj, lamNew, q.freshCon(j, obj), q.ev.cells(j, obj, frac))
 	case frac == 0 && p >= 0:
 		q.removeActive(j, p)
+		return
 	case p >= 0:
 		q.lam[j][p] = lamNew
 		q.cel[j][p] = q.ev.cells(j, obj, frac)
+	default:
+		return // inactive before and after
 	}
-	q.l.Set(obj, j, frac)
+	q.ter[j][p] = q.price(j, p, q.con[j][p])
 }
 
 // insertActive splices obj into target j's active list at position t,
 // keeping ascending order so that scoreWith's summation order depends only
 // on the set of active objects, never on the history of moves that produced
-// it. Steady-state insertions reuse the capacity earlier removals left
-// behind, keeping the Apply hot loop allocation-free.
+// it. The new entry's term is left 0 for the caller to price. Steady-state
+// insertions reuse the capacity earlier removals left behind, keeping the
+// Apply hot loop allocation-free.
 func (q *IncrementalEvaluator) insertActive(j, t, obj int, lam, con float64, c entryCells) {
 	q.act[j] = append(q.act[j], 0)
 	copy(q.act[j][t+1:], q.act[j][t:])
@@ -383,6 +421,9 @@ func (q *IncrementalEvaluator) insertActive(j, t, obj int, lam, con float64, c e
 	q.cel[j] = append(q.cel[j], entryCells{})
 	copy(q.cel[j][t+1:], q.cel[j][t:])
 	q.cel[j][t] = c
+	q.ter[j] = append(q.ter[j], 0)
+	copy(q.ter[j][t+1:], q.ter[j][t:])
+	q.ter[j][t] = 0
 }
 
 // removeActive drops the entry at position t from target j's active list.
@@ -401,6 +442,9 @@ func (q *IncrementalEvaluator) removeActive(j, t int) {
 	cel := q.cel[j]
 	copy(cel[t:], cel[t+1:])
 	q.cel[j] = cel[:len(cel)-1]
+	ter := q.ter[j]
+	copy(ter[t:], ter[t+1:])
+	q.ter[j] = ter[:len(ter)-1]
 }
 
 // ForEachActive calls f for every object with a non-zero assignment on

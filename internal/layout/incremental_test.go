@@ -167,6 +167,97 @@ func checkBits(tb testing.TB, q, twin *IncrementalEvaluator, step int) {
 	}
 }
 
+// refScore is the reference for the kernel's probe: mu_j as if L[obj][j]
+// were frac, with every active entry other than obj priced afresh from its
+// cached contention sum (shifted by obj's change where obj is a co-access
+// partner) and cells, and obj priced from fresh cells. scoreWith adds the
+// cached terms of the entries the probe leaves alone instead, and must give
+// these bits exactly.
+func refScore(q *IncrementalEvaluator, j, obj int, frac float64) float64 {
+	ev := q.ev
+	var lamObj, dLam float64
+	objPos := -1
+	var oIdx []int32
+	var oTval []float64
+	if obj >= 0 {
+		lamObj = ev.totalRate[obj] * frac
+		p := q.findActive(j, obj)
+		var lamOld float64
+		if p >= 0 {
+			lamOld = q.lam[j][p]
+			objPos = p
+		}
+		dLam = lamObj - lamOld
+		oIdx, _, oTval = q.ov.row(obj)
+	}
+	var mu float64
+	e := 0
+	for t, i32 := range q.act[j] {
+		for e < len(oIdx) && oIdx[e] < i32 {
+			e++
+		}
+		i := int(i32)
+		if i == obj {
+			continue
+		}
+		lij := q.l.At(i, j)
+		if lij <= Epsilon || ev.totalRate[i] <= 0 {
+			continue
+		}
+		s := q.con[j][t]
+		if dLam != 0 && e < len(oIdx) && oIdx[e] == i32 {
+			s += dLam * oTval[e]
+		}
+		chi := s/q.lam[j][t] + ev.selfChi[i]
+		mu += q.objTerm(j, i, lij, chi, &q.cel[j][t])
+	}
+	if obj >= 0 && frac > Epsilon && ev.totalRate[obj] > 0 {
+		var s float64
+		if objPos >= 0 {
+			s = q.con[j][objPos]
+		} else {
+			s = q.freshCon(j, obj)
+		}
+		chi := s/lamObj + ev.selfChi[obj]
+		c := ev.cells(j, obj, frac)
+		mu += q.objTerm(j, obj, frac, chi, &c)
+	}
+	return mu
+}
+
+// checkProbe requires a kernel probe to carry refScore's bits.
+func checkProbe(tb testing.TB, q *IncrementalEvaluator, j, obj int, frac, got float64, step int) {
+	tb.Helper()
+	if want := refScore(q, j, obj, frac); math.Float64bits(got) != math.Float64bits(want) {
+		tb.Fatalf("step %d: probe of target %d with L[%d][%d] = %g: %.17g, reference %.17g", step, j, obj, j, frac, got, want)
+	}
+}
+
+// checkTerms requires every cached term to equal a fresh pricing of its
+// entry: from its cached lambda and contention sum, at its current fraction,
+// with cells prepared afresh. A term a mutation forgot to refresh fails
+// here even when no probe has read it yet.
+func checkTerms(tb testing.TB, q *IncrementalEvaluator, step int) {
+	tb.Helper()
+	for j := range q.act {
+		if len(q.ter[j]) != len(q.act[j]) {
+			tb.Fatalf("step %d: target %d: %d terms for %d active entries", step, j, len(q.ter[j]), len(q.act[j]))
+		}
+		for t, i32 := range q.act[j] {
+			i := int(i32)
+			var want float64
+			if lij := q.l.At(i, j); lij > Epsilon && q.ev.totalRate[i] > 0 {
+				chi := q.con[j][t]/q.lam[j][t] + q.ev.selfChi[i]
+				c := q.ev.cells(j, i, lij)
+				want = q.objTerm(j, i, lij, chi, &c)
+			}
+			if got := q.ter[j][t]; math.Float64bits(got) != math.Float64bits(want) {
+				tb.Fatalf("step %d: target %d, object %d: cached term %.17g, fresh pricing %.17g", step, j, i, got, want)
+			}
+		}
+	}
+}
+
 // randLayout builds a random valid layout: each row spreads over 1..m random
 // targets with normalized random weights.
 func randLayout(rng *rand.Rand, n, m int) *Layout {
@@ -239,11 +330,13 @@ func checkAgainstNaive(tb testing.TB, q *IncrementalEvaluator, ev *Evaluator, st
 }
 
 // driveDifferential runs `moves` random transfers through the kernel,
-// checking every TryMove probe against a naive mutate-evaluate pass on a
-// clone and periodically checking the full cached state against a fresh
-// naive evaluation. drop sets the overlap sparsity (fraction of zero
-// pairs); pass -1 for the legacy dense 1/3-zero generator, any other value
-// also mixes dense and sparse overlap representations across workloads.
+// checking every TryMove probe bit for bit against refScore and within the
+// tolerance contract against a naive mutate-evaluate pass on a clone, every
+// cached term after each mutation against a fresh pricing, and periodically
+// the full cached state against a fresh naive evaluation. drop sets the
+// overlap sparsity (fraction of zero pairs); pass -1 for the legacy dense
+// 1/3-zero generator, any other value also mixes dense and sparse overlap
+// representations across workloads.
 // models mixes literal tables, indexed tables and Cost-only wrappers across
 // the targets (see withModels). A twin kernel that prices every target
 // through Cost takes the same moves, and every probe and cached utilization
@@ -263,6 +356,10 @@ func driveDifferential(tb testing.TB, seed int64, n, m, moves int, drop float64,
 	twin := NewEvaluator(withModels(tb, inst, 0b10101010)).NewIncremental(l.Clone())
 	checkAgainstNaive(tb, q, ev, -1)
 	checkBits(tb, q, twin, -1)
+	checkTerms(tb, q, -1)
+	for j := 0; j < m; j++ {
+		checkProbe(tb, q, j, -1, 0, q.Utilization(j), -1)
+	}
 
 	applied := 0
 	for step := 0; step < moves; step++ {
@@ -275,10 +372,12 @@ func driveDifferential(tb testing.TB, seed int64, n, m, moves int, drop float64,
 			math.Float64bits(muT) != math.Float64bits(tT) {
 			tb.Fatalf("step %d: TryMove (%.17g, %.17g), Cost-only twin (%.17g, %.17g)", step, muF, muT, tF, tT)
 		}
-
-		// Naive reference: apply the effective move to a clone, evaluate.
 		eff := q.EffectiveDelta(obj, from, delta)
 		have := l.At(obj, from)
+		checkProbe(tb, q, from, obj, have-eff, muF, step)
+		checkProbe(tb, q, to, obj, l.At(obj, to)+eff, muT, step)
+
+		// Naive reference: apply the effective move to a clone, evaluate.
 		c := l.Clone()
 		newFrom := have - eff
 		if eff == have {
@@ -299,6 +398,8 @@ func driveDifferential(tb testing.TB, seed int64, n, m, moves int, drop float64,
 			}
 			twin.Apply(obj, from, to, delta)
 			checkBits(tb, q, twin, step)
+			checkTerms(tb, q, step)
+			checkTerms(tb, twin, step)
 			applied++
 			// Apply's cached state must reproduce TryMove's probes exactly:
 			// both go through the same scoring primitive.
@@ -375,6 +476,7 @@ func TestIncrementalRowReplacement(t *testing.T) {
 		probes := make([]float64, l.M)
 		for j := range row {
 			probes[j] = q.ScoreObjectFrac(j, i, row[j])
+			checkProbe(t, q, j, i, row[j], probes[j], step)
 			if want := ev.TargetUtilization(c, j); !utilClose(probes[j], want) {
 				t.Fatalf("step %d: ScoreObjectFrac(%d, %d, %g) = %.17g, naive = %.17g",
 					step, j, i, row[j], probes[j], want)
@@ -390,6 +492,7 @@ func TestIncrementalRowReplacement(t *testing.T) {
 					step, q.Utilization(j), probes[j])
 			}
 		}
+		checkTerms(t, q, step)
 		checkAgainstNaive(t, q, ev, step)
 	}
 }
@@ -418,6 +521,7 @@ func TestIncrementalLongSequenceDrift(t *testing.T) {
 			checkAgainstNaive(t, q, ev, step)
 		}
 	}
+	checkTerms(t, q, 4000)
 	checkAgainstNaive(t, q, ev, 4000)
 	if err := l.CheckIntegrity(); err != nil {
 		t.Fatal(err)
@@ -525,6 +629,7 @@ func TestIncrementalDegenerateMoves(t *testing.T) {
 		}
 		q.Apply(o, f, tt, delta)
 	}
+	checkTerms(t, q, 100)
 	checkAgainstNaive(t, q, ev, 100)
 	if err := l.CheckIntegrity(); err != nil {
 		t.Fatal(err)
