@@ -2,24 +2,25 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dblayout"
+	"dblayout/internal/costmodel"
 	"dblayout/internal/layout"
+	"dblayout/internal/layouttest"
 	"dblayout/internal/migrate"
 )
 
 // executeFixture is a three-object problem on disk15k targets whose current
 // layout is all on disk0. executeMigration simulates the devices directly, so
-// no cost model is calibrated.
-func executeFixture(t *testing.T) (*problemFile, dblayout.Problem) {
+// the reader is handed a stand-in cost model instead of calibrating one.
+func executeFixture(t *testing.T) *dblayout.Document {
 	t.Helper()
-	var pf problemFile
-	err := json.Unmarshal([]byte(`{
+	doc, err := dblayout.ReadDocument([]byte(`{
 		"objects": [
 			{"name": "A", "size_mb": 48}, {"name": "B", "size_mb": 48}, {"name": "C", "size_mb": 48}
 		],
@@ -28,16 +29,17 @@ func executeFixture(t *testing.T) (*problemFile, dblayout.Problem) {
 			{"name": "disk1", "capacity_mb": 1024, "model": "disk15k"},
 			{"name": "disk2", "capacity_mb": 1024, "model": "disk15k"}
 		],
+		"workloads": {"workloads": [
+			{"name": "A", "read_size": 8192, "read_rate": 10, "run_count": 1},
+			{"name": "B", "read_size": 8192, "read_rate": 10, "run_count": 1},
+			{"name": "C", "read_size": 8192, "read_rate": 10, "run_count": 1}
+		]},
 		"current": [[1, 0, 0], [1, 0, 0], [1, 0, 0]]
-	}`), &pf)
+	}`), func(string) (*costmodel.Model, error) { return layouttest.DiskModel(), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	var p dblayout.Problem
-	for _, o := range pf.Objects {
-		p.Objects = append(p.Objects, dblayout.Object{Name: o.Name, Size: o.SizeMB << 20, Kind: dblayout.KindTable})
-	}
-	return &pf, p
+	return doc
 }
 
 func layoutOf(rows ...[]float64) *layout.Layout {
@@ -69,12 +71,12 @@ func journalRecords(t *testing.T, path string) []migrate.Record {
 // finished journal appends nothing; a journal written for a different
 // problem is refused with exit code 8.
 func TestExecuteJournalResume(t *testing.T) {
-	pf, p := executeFixture(t)
+	doc := executeFixture(t)
 	target := layoutOf([]float64{0, 1, 0}, []float64{0, 0, 1}, []float64{0, 1, 0})
 	opt := func(path string) executeOptions { return executeOptions{journalPath: path, queueShare: 0.5} }
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.wal")
-	if err := executeMigration(pf, p, target, opt(full)); err != nil {
+	if err := executeMigration(doc, target, opt(full)); err != nil {
 		t.Fatal(err)
 	}
 	journal, err := os.ReadFile(full)
@@ -107,7 +109,7 @@ func TestExecuteJournalResume(t *testing.T) {
 			if err := os.WriteFile(path, prefix, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := executeMigration(pf, p, target, opt(path)); err != nil {
+			if err := executeMigration(doc, target, opt(path)); err != nil {
 				t.Fatalf("cut %d torn=%v: re-run: %v", k, torn, err)
 			}
 			recs := journalRecords(t, path)
@@ -130,7 +132,7 @@ func TestExecuteJournalResume(t *testing.T) {
 	}
 
 	// A finished journal resumes to "done" without appending anything.
-	if err := executeMigration(pf, p, target, opt(full)); err != nil {
+	if err := executeMigration(doc, target, opt(full)); err != nil {
 		t.Fatalf("re-run on a finished journal: %v", err)
 	}
 	if again, err := os.ReadFile(full); err != nil || !bytes.Equal(again, journal) {
@@ -139,8 +141,19 @@ func TestExecuteJournalResume(t *testing.T) {
 
 	// A journal written for a different plan is refused as corrupt.
 	other := layoutOf([]float64{0, 0, 1}, []float64{0, 1, 0}, []float64{1, 0, 0})
-	err = executeMigration(pf, p, other, opt(full))
+	err = executeMigration(doc, other, opt(full))
 	if code := exitCode(err); code != 8 {
 		t.Fatalf("journal for a different problem: exit %d (%v), want 8", code, err)
+	}
+}
+
+// TestExecuteRefusesModelsWithoutSimulator pins that -execute refuses a
+// target whose cost model came inline, since no device stands behind it.
+func TestExecuteRefusesModelsWithoutSimulator(t *testing.T) {
+	doc := executeFixture(t)
+	doc.Models[1] = "" // as the reader records a model_json target
+	err := executeMigration(doc, doc.Current, executeOptions{queueShare: 0.5})
+	if err == nil || !strings.HasPrefix(err.Error(), `target "disk1": -execute simulates built-in device types only`) {
+		t.Fatalf("got %v", err)
 	}
 }

@@ -17,39 +17,24 @@
 // data) and /debug/pprof. -listen-hold keeps the endpoint up after the run
 // finishes so a scraper can collect the final state.
 //
-// The problem file describes objects, targets and per-object workloads:
-//
-//	{
-//	  "objects": [
-//	    {"name": "ORDERS", "size_mb": 8192, "kind": "table"},
-//	    {"name": "ORDERS_PK", "size_mb": 1024, "kind": "index"}
-//	  ],
-//	  "targets": [
-//	    {"name": "disk0", "capacity_mb": 102400, "model": "disk15k"},
-//	    {"name": "ssd0", "capacity_mb": 32768, "model": "ssd"}
-//	  ],
-//	  "workloads": {"workloads": [
-//	    {"name": "ORDERS", "read_size": 131072, "read_rate": 300, "run_count": 64},
-//	    {"name": "ORDERS_PK", "read_size": 8192, "read_rate": 150, "run_count": 1}
-//	  ]}
-//	}
-//
-// A target's "model" is either a built-in device type ("disk15k",
-// "disk7200", "ssd"), which is calibrated on first use, or "@file.json", a
-// model previously saved by cmd/calibrate.
+// The problem file is the problem document described in README "Problem
+// document": objects, targets with their cost models, per-object workloads
+// and an optional "current" layout. A target's "model" is a built-in device
+// type ("disk15k", "disk7200", "ssd"), calibrated on first use, or
+// "@file.json", a model saved by cmd/calibrate; "model_json" carries one
+// inline. A malformed document exits 1 before any model is calibrated.
 //
 // With -execute the advisor additionally simulates the online migration
-// from the current layout (an optional "current" fraction matrix in the
-// problem file, one row per object; default SEE) to the recommendation,
-// using the crash-safe engine in internal/migrate: moves run in a
-// capacity-safe order, cycles are broken through a scratch reservation
-// (-scratch-mb, 0 = auto-sized), and the copy stream can be throttled
-// (-copy-rate in MiB/s, -queue-share). -journal names a write-ahead journal
-// file in the migration engine's grammar; re-running with an existing
-// journal resumes an interrupted migration from its checkpoint instead of
-// restarting it, and a journal that records completion appends nothing.
-// Built-in device types only: "@file" cost models carry no simulator
-// configuration.
+// from the current layout (the document's "current" matrix; default SEE)
+// to the recommendation, using the crash-safe engine in internal/migrate:
+// moves run in a capacity-safe order, cycles are broken through a scratch
+// reservation (-scratch-mb, 0 = auto-sized), and the copy stream can be
+// throttled (-copy-rate in MiB/s, -queue-share). -journal names a
+// write-ahead journal file in the migration engine's grammar; re-running
+// with an existing journal resumes an interrupted migration from its
+// checkpoint instead of restarting it, and a journal that records
+// completion appends nothing. Built-in device types only: "@file" and
+// "model_json" cost models carry no simulator configuration.
 //
 // Exit codes distinguish failure classes so scripts can react:
 //
@@ -70,7 +55,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -87,75 +71,32 @@ import (
 	"dblayout/internal/migrate"
 	"dblayout/internal/obs"
 	"dblayout/internal/replay"
-	"dblayout/internal/storage"
 	"dblayout/internal/wal"
 )
 
-type problemFile struct {
-	Objects []struct {
-		Name   string `json:"name"`
-		SizeMB int64  `json:"size_mb"`
-		Kind   string `json:"kind"`
-	} `json:"objects"`
-	Targets []struct {
-		Name       string `json:"name"`
-		CapacityMB int64  `json:"capacity_mb"`
-		Model      string `json:"model"`
-	} `json:"targets"`
-	Workloads *dblayout.WorkloadSet `json:"workloads"`
-	// Current optionally gives the layout the data occupies today, one
-	// row of per-target fractions per object; -execute migrates from it.
-	// Absent, the migration starts from SEE (striped over everything).
-	Current [][]float64 `json:"current"`
-}
-
-func kindOf(s string) (dblayout.ObjectKind, error) {
-	switch strings.ToLower(s) {
-	case "table", "":
-		return dblayout.KindTable, nil
-	case "index":
-		return dblayout.KindIndex, nil
-	case "log":
-		return dblayout.KindLog, nil
-	case "temp":
-		return dblayout.KindTemp, nil
-	}
-	return 0, fmt.Errorf("unknown object kind %q", s)
-}
-
-// modelFor resolves a target's model reference.
-func modelFor(ref string, cache map[string]*costmodel.Model) (*costmodel.Model, error) {
-	if m, ok := cache[ref]; ok {
-		return m, nil
-	}
-	var m *costmodel.Model
-	switch {
-	case strings.HasPrefix(ref, "@"):
-		f, err := os.Open(ref[1:])
-		if err != nil {
-			return nil, err
+// namedModels resolves the problem document's named target models: an
+// "@file" reference loads a model saved by cmd/calibrate, and a built-in
+// device type is calibrated once per run.
+func namedModels() func(ref string) (*costmodel.Model, error) {
+	cache := map[string]*costmodel.Model{}
+	return func(ref string) (m *costmodel.Model, err error) {
+		if m = cache[ref]; m != nil {
+			return m, nil
 		}
-		defer f.Close()
-		m, err = costmodel.Load(f)
-		if err != nil {
-			return nil, err
+		if path, ok := strings.CutPrefix(ref, "@"); ok {
+			var f *os.File
+			if f, err = os.Open(path); err != nil {
+				return nil, err
+			}
+			defer f.Close()
+			m, err = costmodel.Load(f)
+		} else {
+			fmt.Fprintf(os.Stderr, "calibrating %s model (one-time)...\n", ref)
+			m, err = replay.CalibrateBuiltin(ref, costmodel.DefaultGrid())
 		}
-	case ref == "disk15k" || ref == "":
-		fmt.Fprintln(os.Stderr, "calibrating disk15k model (one-time)...")
-		m = dblayout.CalibrateDisk()
-	case ref == "disk7200":
-		fmt.Fprintln(os.Stderr, "calibrating disk7200 model (one-time)...")
-		m = costmodel.Calibrate("disk7200", func(e *storage.Engine) storage.Device {
-			return storage.NewDisk(e, "disk", storage.Disk7200Config())
-		}, costmodel.DefaultGrid())
-	case ref == "ssd":
-		fmt.Fprintln(os.Stderr, "calibrating ssd model (one-time)...")
-		m = dblayout.CalibrateSSD()
-	default:
-		return nil, fmt.Errorf("unknown model %q (want disk15k, disk7200, ssd, or @file.json)", ref)
+		cache[ref] = m
+		return m, err
 	}
-	cache[ref] = m
-	return m, nil
 }
 
 func run() error {
@@ -201,27 +142,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var pf problemFile
-	if err := json.Unmarshal(data, &pf); err != nil {
-		return fmt.Errorf("parsing %s: %w", *problemPath, err)
+	doc, err := dblayout.ReadDocument(data, namedModels())
+	if err != nil {
+		return err
 	}
-
-	p := dblayout.Problem{Workloads: pf.Workloads}
-	for _, o := range pf.Objects {
-		kind, err := kindOf(o.Kind)
-		if err != nil {
-			return err
-		}
-		p.Objects = append(p.Objects, dblayout.Object{Name: o.Name, Size: o.SizeMB << 20, Kind: kind})
-	}
-	cache := map[string]*costmodel.Model{}
-	for _, t := range pf.Targets {
-		m, err := modelFor(t.Model, cache)
-		if err != nil {
-			return err
-		}
-		p.Targets = append(p.Targets, &layout.Target{Name: t.Name, Capacity: t.CapacityMB << 20, Model: m})
-	}
+	p := doc.Problem
 
 	opt := dblayout.Options{
 		Seed:               *seed,
@@ -279,7 +204,7 @@ func run() error {
 			rec.SolverIters, rec.SolverEvals, elapsed.Round(time.Millisecond))
 	}
 	if *execute {
-		return executeMigration(&pf, p, rec.Final, executeOptions{
+		return executeMigration(doc, rec.Final, executeOptions{
 			journalPath: *journalPath,
 			copyRate:    *copyRate,
 			queueShare:  *queueShare,
@@ -298,70 +223,24 @@ type executeOptions struct {
 	metrics     *obs.Registry
 }
 
-// deviceFor maps a problem target onto a simulator device spec. Only
-// built-in device types can be simulated; calibrated "@file" models carry a
-// cost table but no simulator configuration.
-func deviceFor(name, model string, capacity int64) (replay.DeviceSpec, error) {
-	switch model {
-	case "disk15k", "":
-		cfg := storage.Disk15KConfig()
-		cfg.CapacityBytes = capacity
-		return replay.DeviceSpec{Name: name, Disk: &cfg}, nil
-	case "disk7200":
-		cfg := storage.Disk7200Config()
-		cfg.CapacityBytes = capacity
-		return replay.DeviceSpec{Name: name, Disk: &cfg}, nil
-	case "ssd":
-		cfg := storage.SSD32Config()
-		cfg.CapacityBytes = capacity
-		return replay.DeviceSpec{Name: name, SSD: &cfg}, nil
-	}
-	return replay.DeviceSpec{}, fmt.Errorf("cannot simulate model %q for target %q: -execute needs a built-in device type (disk15k, disk7200, ssd)", model, name)
-}
-
-// currentLayout resolves the migration's starting layout: the problem
-// file's "current" matrix when present, SEE otherwise.
-func currentLayout(pf *problemFile, n, m int) (*layout.Layout, error) {
-	if pf.Current == nil {
-		return layout.SEE(n, m), nil
-	}
-	if len(pf.Current) != n {
-		return nil, fmt.Errorf("\"current\" has %d rows for %d objects", len(pf.Current), n)
-	}
-	l := layout.New(n, m)
-	for i, row := range pf.Current {
-		if len(row) != m {
-			return nil, fmt.Errorf("\"current\" row %d has %d fractions for %d targets", i, len(row), m)
-		}
-		l.SetRow(i, row)
-	}
-	if err := l.CheckIntegrity(); err != nil {
-		return nil, fmt.Errorf("\"current\" layout: %w", err)
-	}
-	return l, nil
-}
-
 // executeMigration simulates the online migration from the current layout
 // to the recommended one against an idle system, journaling every move so
 // an interrupted run resumes from its checkpoint.
-func executeMigration(pf *problemFile, p dblayout.Problem, target *dblayout.Layout, opt executeOptions) error {
+func executeMigration(doc *dblayout.Document, target *dblayout.Layout, opt executeOptions) error {
+	p, current := doc.Problem, doc.Current
 	sys := &replay.System{Objects: p.Objects, StripeSize: p.StripeSize}
 	sizes := make([]int64, len(p.Objects))
 	for i, o := range p.Objects {
 		sizes[i] = o.Size
 	}
-	caps := make([]int64, len(pf.Targets))
-	for j, t := range pf.Targets {
-		spec, err := deviceFor(t.Name, t.Model, t.CapacityMB<<20)
+	caps := make([]int64, len(p.Targets))
+	for j, t := range p.Targets {
+		spec, err := replay.Builtin(doc.Models[j], t.Name, t.Capacity)
 		if err != nil {
-			return err
+			return fmt.Errorf("target %q: -execute simulates built-in device types only; an \"@file\" or model_json cost model has no simulator configuration", t.Name)
 		}
 		sys.Devices = append(sys.Devices, spec)
-		caps[j] = t.CapacityMB << 20
-	}
-	current, err := currentLayout(pf, len(p.Objects), len(pf.Targets))
-	if err != nil {
-		return err
+		caps[j] = t.Capacity
 	}
 
 	var journal io.Writer
@@ -400,12 +279,12 @@ func executeMigration(pf *problemFile, p dblayout.Problem, target *dblayout.Layo
 	if err != nil {
 		return fmt.Errorf("executing migration: %w", err)
 	}
-	reportMigration(pf, opt, res, scratch)
+	reportMigration(p, opt, res, scratch)
 	return nil
 }
 
 // reportMigration prints the -execute summary.
-func reportMigration(pf *problemFile, opt executeOptions, res *migrate.ExecuteResult, scratch migrate.ScratchSpec) {
+func reportMigration(p dblayout.Problem, opt executeOptions, res *migrate.ExecuteResult, scratch migrate.ScratchSpec) {
 	m := res.Migration
 	staged := 0
 	for _, s := range res.Script {
@@ -414,7 +293,7 @@ func reportMigration(pf *problemFile, opt executeOptions, res *migrate.ExecuteRe
 		}
 	}
 	fmt.Printf("\nonline migration: %d moves (%d staged through %s scratch), %.1f MiB copied\n",
-		len(res.Plan), staged, pf.Targets[scratch.Target].Name, float64(m.CommittedBytes)/(1<<20))
+		len(res.Plan), staged, p.Targets[scratch.Target].Name, float64(m.CommittedBytes)/(1<<20))
 	if m.Elapsed > 0 {
 		fmt.Printf("simulated duration %.2fs (%.1f MiB/s effective)\n",
 			m.Elapsed, float64(m.CommittedBytes)/(1<<20)/m.Elapsed)

@@ -4,11 +4,64 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"testing"
 
 	"dblayout"
 	"dblayout/internal/migrate"
 )
+
+// TestMain lets the test binary stand in for the advisor: started with
+// ADVISOR_TEST_MAIN=1 in its environment, it runs main on its arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("ADVISOR_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRefusedDocumentExitsBeforeCalibrating runs the advisor on a document
+// whose "current" layout overflows disk0: it exits 1 with the problem-
+// document reader's message, the daemon's 422 text, before calibrating any
+// model.
+func TestRefusedDocumentExitsBeforeCalibrating(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "problem.json")
+	if err := os.WriteFile(path, []byte(`{
+		"objects": [
+			{"name": "ORDERS", "size_mb": 288, "kind": "table"},
+			{"name": "LINEITEM", "size_mb": 240, "kind": "table"},
+			{"name": "ORDERS_PK", "size_mb": 96, "kind": "index"}
+		],
+		"targets": [
+			{"name": "disk0", "capacity_mb": 500, "model": "disk15k"},
+			{"name": "disk1", "capacity_mb": 1024, "model": "disk15k"},
+			{"name": "disk2", "capacity_mb": 1024, "model": "disk15k"}
+		],
+		"workloads": {"workloads": [
+			{"name": "ORDERS", "read_size": 131072, "read_rate": 100, "run_count": 64},
+			{"name": "LINEITEM", "read_size": 131072, "read_rate": 100, "run_count": 64},
+			{"name": "ORDERS_PK", "read_size": 8192, "read_rate": 150, "run_count": 1}
+		]},
+		"current": [[1, 0, 0], [1, 0, 0], [1, 0, 0]]
+	}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, "-problem", path, "-execute")
+	cmd.Env = append(os.Environ(), "ADVISOR_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	const want = "advisor: current layout: layout: target 0 assigned 654311424 bytes, capacity 524288000\n"
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || string(out) != want {
+		t.Fatalf("exit %v, output %q; want status 1 and %q", err, out, want)
+	}
+}
 
 // TestExitCodes pins the documented exit-code table: every failure class maps
 // to its own code, wrapped or not.

@@ -16,38 +16,8 @@ import (
 	"strings"
 
 	"dblayout/internal/costmodel"
-	"dblayout/internal/storage"
+	"dblayout/internal/replay"
 )
-
-func factoryFor(device string) (costmodel.TargetFactory, error) {
-	switch {
-	case device == "disk15k":
-		return func(e *storage.Engine) storage.Device {
-			return storage.NewDisk(e, "disk", storage.Disk15KConfig())
-		}, nil
-	case device == "disk7200":
-		return func(e *storage.Engine) storage.Device {
-			return storage.NewDisk(e, "disk", storage.Disk7200Config())
-		}, nil
-	case device == "ssd":
-		return func(e *storage.Engine) storage.Device {
-			return storage.NewSSD(e, "ssd", storage.SSD32Config())
-		}, nil
-	case strings.HasPrefix(device, "raid0x"):
-		n, err := strconv.Atoi(device[len("raid0x"):])
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad RAID member count in %q", device)
-		}
-		return func(e *storage.Engine) storage.Device {
-			members := make([]storage.Device, n)
-			for i := range members {
-				members[i] = storage.NewDisk(e, fmt.Sprintf("m%d", i), storage.Disk15KConfig())
-			}
-			return storage.NewRAID0(e, "raid", storage.DefaultStripeUnit, members...)
-		}, nil
-	}
-	return nil, fmt.Errorf("unknown device %q (want disk15k, disk7200, ssd, raid0xN)", device)
-}
 
 func run() error {
 	device := flag.String("device", "disk15k", "device type to calibrate")
@@ -55,9 +25,16 @@ func run() error {
 	fast := flag.Bool("fast", false, "coarse calibration grid")
 	flag.Parse()
 
-	factory, err := factoryFor(*device)
+	spec, err := replay.Builtin(*device, *device, 0)
+	if n, ok := strings.CutPrefix(*device, "raid0x"); ok {
+		members, _ := strconv.Atoi(n)
+		if members < 1 {
+			return fmt.Errorf("bad RAID member count in %q", *device)
+		}
+		spec, err = replay.RAID0Disks(*device, members), nil
+	}
 	if err != nil {
-		return err
+		return fmt.Errorf("%w, or raid0xN", err)
 	}
 	grid := costmodel.DefaultGrid()
 	if *fast {
@@ -66,7 +43,7 @@ func run() error {
 
 	fmt.Fprintf(os.Stderr, "calibrating %s (%d sizes x %d run counts x %d contention levels)...\n",
 		*device, len(grid.Sizes), len(grid.RunCounts), len(grid.Competitors))
-	m := costmodel.Calibrate(*device, factory, grid)
+	m := costmodel.Calibrate(*device, spec.Factory(), grid)
 
 	w := os.Stdout
 	if *out != "" {

@@ -52,6 +52,7 @@ import (
 	"dblayout/internal/costmodel"
 	"dblayout/internal/layout"
 	"dblayout/internal/nlp"
+	"dblayout/internal/replay"
 	"dblayout/internal/rome"
 	"dblayout/internal/rubicon"
 	"dblayout/internal/storage"
@@ -151,9 +152,6 @@ type Options struct {
 	SkipRegularization bool
 	// Seed makes the search reproducible.
 	Seed int64
-	// MultiStartSEE additionally seeds the solver from the SEE layout
-	// (recommended; enabled by default through Recommend).
-	DisableMultiStart bool
 	// Logger, when non-nil, receives advisor phase spans (seed, solve,
 	// regularize, validate) with durations and objective deltas. Nil
 	// disables logging with no overhead.
@@ -232,17 +230,15 @@ func RecommendContext(ctx context.Context, p Problem, opts ...Options) (*Recomme
 	if opt.Portfolio {
 		copt.Solver = core.SolverPortfolio
 	}
-	if !opt.DisableMultiStart {
-		// Seed from the heuristic initial layout plus SEE when both are
-		// available; when the heuristic fails, leave seeding to the
-		// advisor, whose ladder falls back to SEE by itself.
-		if heuristic, err := layout.InitialLayout(inst); err == nil {
-			copt.InitialLayouts = []*layout.Layout{heuristic}
-			// SEE is a useful second starting point but may violate
-			// administrative constraints; seed from it only when valid.
-			if see := layout.SEE(inst.N(), inst.M()); inst.ValidateLayout(see) == nil {
-				copt.InitialLayouts = append(copt.InitialLayouts, see)
-			}
+	// Seed from the heuristic initial layout plus SEE when both are
+	// available; when the heuristic fails, leave seeding to the advisor,
+	// whose ladder falls back to SEE by itself.
+	if heuristic, err := layout.InitialLayout(inst); err == nil {
+		copt.InitialLayouts = []*layout.Layout{heuristic}
+		// SEE is a useful second starting point but may violate
+		// administrative constraints; seed from it only when valid.
+		if see := layout.SEE(inst.N(), inst.M()); inst.ValidateLayout(see) == nil {
+			copt.InitialLayouts = append(copt.InitialLayouts, see)
 		}
 	}
 	adv, err := core.New(inst, copt)
@@ -344,16 +340,14 @@ func FitWorkloads(tr *Trace, names []string, opt FitOptions) (*WorkloadSet, erro
 // using the full calibration sweep. For custom devices use
 // costmodel.Calibrate directly.
 func CalibrateDisk() *CostModel {
-	return costmodel.Calibrate("disk15k", func(e *storage.Engine) storage.Device {
-		return storage.NewDisk(e, "disk", storage.Disk15KConfig())
-	}, costmodel.DefaultGrid())
+	m, _ := replay.CalibrateBuiltin("disk15k", costmodel.DefaultGrid()) // a built-in type: no error
+	return m
 }
 
 // CalibrateSSD builds a cost model for the built-in SSD simulator.
 func CalibrateSSD() *CostModel {
-	return costmodel.Calibrate("ssd", func(e *storage.Engine) storage.Device {
-		return storage.NewSSD(e, "ssd", storage.SSD32Config())
-	}, costmodel.DefaultGrid())
+	m, _ := replay.CalibrateBuiltin("ssd", costmodel.DefaultGrid()) // a built-in type: no error
+	return m
 }
 
 // SaveModel writes a cost model as JSON.

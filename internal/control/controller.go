@@ -547,7 +547,7 @@ func (c *Controller) advise(fit rubicon.WindowFit, epoch, attempt int) (target *
 	}
 
 	if len(failed) > 0 {
-		inst, err = denyFailed(inst, failed)
+		inst, err = core.DenyTargets(inst, failed)
 		if err != nil {
 			return nil, 0, false, err
 		}
@@ -577,31 +577,6 @@ func (c *Controller) placesOnFailed() bool {
 		}
 	}
 	return false
-}
-
-// denyFailed clones the instance with Deny constraints excluding the failed
-// targets for every object, so the advisor never places data on them again.
-func denyFailed(inst *layout.Instance, failed []int) (*layout.Instance, error) {
-	out := *inst
-	cons := &layout.Constraints{Deny: make(map[int][]int, inst.N())}
-	if old := inst.Constraints; old != nil {
-		cons.Allow = make(map[int][]int, len(old.Allow))
-		for i, ts := range old.Allow {
-			cons.Allow[i] = append([]int(nil), ts...)
-		}
-		for i, ts := range old.Deny {
-			cons.Deny[i] = append([]int(nil), ts...)
-		}
-		cons.Separate = append([][2]int(nil), old.Separate...)
-	}
-	for i := 0; i < inst.N(); i++ {
-		cons.Deny[i] = append(cons.Deny[i], failed...)
-	}
-	out.Constraints = cons
-	if err := cons.Validate(inst.N(), inst.M()); err != nil {
-		return nil, fmt.Errorf("control: denying failed targets: %w", err)
-	}
-	return &out, nil
 }
 
 // engineOptions returns the engine options the journal owner completes per

@@ -117,7 +117,7 @@ func RecommendRepair(ctx context.Context, inst *layout.Instance, current *layout
 		return nil, fmt.Errorf("core: objects need %d bytes but surviving targets provide %d: %w", need, have, ErrInfeasible)
 	}
 
-	rinst, err := denyTargets(inst, failed)
+	rinst, err := DenyTargets(inst, failed)
 	if err != nil {
 		return nil, err
 	}
@@ -239,10 +239,10 @@ func normalizeFailed(failed []int) []int {
 	return out[:dst]
 }
 
-// denyTargets clones the instance with Deny constraints barring every object
-// from the failed targets. The original instance and its constraint maps are
-// not mutated.
-func denyTargets(inst *layout.Instance, failed []int) (*layout.Instance, error) {
+// DenyTargets clones the instance with Deny constraints barring every object
+// from the failed targets, so no advise places data on them again. The
+// original instance and its constraint maps are not mutated.
+func DenyTargets(inst *layout.Instance, failed []int) (*layout.Instance, error) {
 	rinst := *inst
 	c := &layout.Constraints{}
 	if old := inst.Constraints; old != nil {
@@ -266,7 +266,7 @@ func denyTargets(inst *layout.Instance, failed []int) (*layout.Instance, error) 
 	if err := c.Validate(inst.N(), inst.M()); err != nil {
 		// An Allow set contained within the failed targets leaves the
 		// object with nowhere to go.
-		return nil, fmt.Errorf("core: repair: %w", err)
+		return nil, fmt.Errorf("core: denying failed targets: %w", err)
 	}
 	return &rinst, nil
 }

@@ -32,6 +32,25 @@ func New(n, m int) *Layout {
 	return &Layout{N: n, M: m, frac: make([]float64, n*m)}
 }
 
+// FromRows builds an n x m layout from a fraction matrix, one row per
+// object, and checks its shape and integrity.
+func FromRows(rows [][]float64, n, m int) (*Layout, error) {
+	if len(rows) != n {
+		return nil, fmt.Errorf("layout: %d rows for %d objects", len(rows), n)
+	}
+	l := New(n, m)
+	for i, row := range rows {
+		if len(row) != m {
+			return nil, fmt.Errorf("layout: row %d has %d fractions for %d targets", i, len(row), m)
+		}
+		l.SetRow(i, row)
+	}
+	if err := l.CheckIntegrity(); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
 // At returns L[i][j].
 func (l *Layout) At(i, j int) float64 { return l.frac[i*l.M+j] }
 

@@ -47,6 +47,12 @@ func Disk15K(name string) DeviceSpec {
 	return DeviceSpec{Name: name, Disk: &cfg}
 }
 
+// Disk7200 returns a single-7200-RPM-disk target spec.
+func Disk7200(name string) DeviceSpec {
+	cfg := storage.Disk7200Config()
+	return DeviceSpec{Name: name, Disk: &cfg}
+}
+
 // SSD returns an SSD target spec with the given capacity (0 = full 32 GB).
 func SSD(name string, capacity int64) DeviceSpec {
 	cfg := storage.SSD32Config()
@@ -66,6 +72,42 @@ func RAID0Disks(name string, n int) DeviceSpec {
 // degraded-mode experiments.
 func RAID5Disks(name string, n int) DeviceSpec {
 	return DeviceSpec{Name: name, RAID: &RAIDSpec{Members: n, Member: storage.Disk15KConfig(), Level: 5}}
+}
+
+// builtins is the table of built-in device types: the names a problem
+// document's target gives as its "model", each at its default capacity.
+var builtins = map[string]func(name string) DeviceSpec{
+	"disk15k":  Disk15K,
+	"disk7200": Disk7200,
+	"ssd":      func(name string) DeviceSpec { return SSD(name, 0) },
+}
+
+// Builtin returns the built-in device type typ as a target named name. A
+// positive capacity replaces the type's default capacity.
+func Builtin(typ, name string, capacity int64) (DeviceSpec, error) {
+	mk, ok := builtins[typ]
+	if !ok {
+		return DeviceSpec{}, fmt.Errorf("unknown model %q (want disk15k, disk7200 or ssd)", typ)
+	}
+	s := mk(name)
+	if capacity > 0 {
+		if s.Disk != nil {
+			s.Disk.CapacityBytes = capacity
+		} else {
+			s.SSD.CapacityBytes = capacity
+		}
+	}
+	return s, nil
+}
+
+// CalibrateBuiltin calibrates the cost model of the built-in device type typ
+// on grid (Sec. 5.2.2). The model is named after the type.
+func CalibrateBuiltin(typ string, grid costmodel.Grid) (*costmodel.Model, error) {
+	s, err := Builtin(typ, typ, 0)
+	if err != nil {
+		return nil, err
+	}
+	return costmodel.Calibrate(typ, s.Factory(), grid), nil
 }
 
 // Validate checks the spec declares exactly one device type.

@@ -85,7 +85,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 
 	var target *layout.Layout
 	if req.Target != nil {
-		l, err := currentFrom(req.Target, len(st.names), len(st.caps))
+		l, err := layout.FromRows(req.Target, len(st.names), len(st.caps))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "target layout: %v", err)
 			return

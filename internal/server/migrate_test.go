@@ -13,6 +13,7 @@ import (
 
 	"dblayout"
 	"dblayout/internal/control"
+	"dblayout/internal/layout"
 	"dblayout/internal/wal"
 )
 
@@ -356,7 +357,7 @@ func TestMigrateRefusesSupersededPlan(t *testing.T) {
 	s.mu.Lock()
 	ten := s.tenants["acme"]
 	s.mu.Unlock()
-	moved, err := currentFrom(spread, 4, 4)
+	moved, err := layout.FromRows(spread, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -710,3 +710,53 @@ func TestRequestCounters(t *testing.T) {
 		t.Errorf("request counters:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
+
+// TestPutRefusesWhatTheReaderRefuses pins that a tenant PUT refuses a
+// document with the problem-document reader's own message (422), adds only
+// its @file refusal, and calibrates nothing for a refused document.
+func TestPutRefusesWhatTheReaderRefuses(t *testing.T) {
+	s, h := newTestServer(t, Options{})
+	doc := func(capMB int, model, current string) []byte {
+		return []byte(fmt.Sprintf(`{
+			"objects": [
+				{"name": "ORDERS", "size_mb": 288}, {"name": "LINEITEM", "size_mb": 240},
+				{"name": "ORDERS_PK", "size_mb": 96, "kind": "index"}
+			],
+			"targets": [
+				{"name": "disk0", "capacity_mb": %d, "model": "disk15k"},
+				{"name": "disk1", "capacity_mb": 1024, "model": %q},
+				{"name": "disk2", "capacity_mb": 1024, "model": "disk15k"}
+			],
+			"workloads": {"workloads": [
+				{"name": "ORDERS", "read_size": 131072, "read_rate": 100, "run_count": 64},
+				{"name": "LINEITEM", "read_size": 131072, "read_rate": 100, "run_count": 64},
+				{"name": "ORDERS_PK", "read_size": 8192, "read_rate": 150, "run_count": 1}
+			]},
+			"current": %s
+		}`, capMB, model, current))
+	}
+	allOnDisk0 := "[[1, 0, 0], [1, 0, 0], [1, 0, 0]]"
+	put := func(doc []byte, want string) {
+		t.Helper()
+		code, resp := do(t, h.Client(), "PUT", h.URL+"/v1/tenants/acme", doc)
+		if code != http.StatusUnprocessableEntity || resp["error"] != want {
+			t.Errorf("PUT: %d %v, want 422 %q", code, resp["error"], want)
+		}
+	}
+	for _, d := range [][]byte{
+		doc(500, "disk15k", allOnDisk0),
+		doc(1024, "disk15k", "[[1, 0, 0], [1, 0, 0]]"),
+		doc(1024, "floppy", allOnDisk0),
+	} {
+		_, err := dblayout.ReadDocument(d, func(string) (*dblayout.CostModel, error) { return nil, nil })
+		if err == nil {
+			t.Fatalf("reader accepts %s", d)
+		}
+		put(d, err.Error())
+	}
+	put(doc(1024, "@disk.json", allOnDisk0),
+		`target "disk1": model "@disk.json": @file references are not served; upload the model inline as model_json`)
+	if n := s.mCalibrations.Value(); n != 0 {
+		t.Fatalf("%d calibrations for refused documents", n)
+	}
+}

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -12,33 +10,8 @@ import (
 	"dblayout"
 	"dblayout/internal/costmodel"
 	"dblayout/internal/layout"
-	"dblayout/internal/storage"
+	"dblayout/internal/replay"
 )
-
-// docFile is a tenant's problem document, the JSON body of
-// PUT /v1/tenants/{id}. It is the advisor CLI's problem-file schema with one
-// addition: a target may carry an inline cost model ("model_json", the JSON
-// written by cmd/calibrate or SaveModel) instead of a built-in device type,
-// which lets a client supply calibrated models without the daemon touching
-// the filesystem ("@file" references are rejected for that reason).
-type docFile struct {
-	Objects []struct {
-		Name   string `json:"name"`
-		SizeMB int64  `json:"size_mb"`
-		Kind   string `json:"kind"`
-	} `json:"objects"`
-	Targets []struct {
-		Name       string          `json:"name"`
-		CapacityMB int64           `json:"capacity_mb"`
-		Model      string          `json:"model"`
-		ModelJSON  json.RawMessage `json:"model_json"`
-	} `json:"targets"`
-	Workloads *dblayout.WorkloadSet `json:"workloads"`
-	// Current optionally gives the layout the tenant's data occupies today
-	// (one row of per-target fractions per object, default SEE);
-	// migrations start from it.
-	Current [][]float64 `json:"current"`
-}
 
 // tenantState is one immutable snapshot of a tenant: the problem, the
 // current layout, and the version that stamps every answer computed from it.
@@ -177,146 +150,53 @@ func instanceFor(st *tenantState) *layout.Instance {
 	}
 }
 
-func kindOf(s string) (dblayout.ObjectKind, error) {
-	switch strings.ToLower(s) {
-	case "table", "":
-		return dblayout.KindTable, nil
-	case "index":
-		return dblayout.KindIndex, nil
-	case "log":
-		return dblayout.KindLog, nil
-	case "temp":
-		return dblayout.KindTemp, nil
-	}
-	return 0, fmt.Errorf("unknown object kind %q", s)
-}
-
-// model resolves a target's cost model. Inline models are decoded from the
-// document; built-in device types ("disk15k", "disk7200", "ssd") are
-// calibrated once per tenant and cached — calibration runs a storage
-// simulation sweep, far too expensive to repeat per request.
-func (t *tenant) model(s *Server, ref string, inline json.RawMessage) (*costmodel.Model, error) {
-	if len(inline) > 0 {
-		m, err := costmodel.Load(bytes.NewReader(inline))
-		if err != nil {
-			return nil, fmt.Errorf("model_json: %w", err)
+// namedModel resolves a problem document's named target models for this
+// tenant. "@file" references are refused, so the daemon never touches the
+// filesystem for a client; a calibrated model comes inline as model_json.
+// Built-in device types are calibrated once per tenant and cached:
+// calibration runs a storage simulation sweep, far too expensive to repeat
+// per request.
+func (t *tenant) namedModel(s *Server) func(ref string) (*costmodel.Model, error) {
+	return func(ref string) (*costmodel.Model, error) {
+		if strings.HasPrefix(ref, "@") {
+			return nil, fmt.Errorf("model %q: @file references are not served; upload the model inline as model_json", ref)
 		}
-		return m, nil
-	}
-	if strings.HasPrefix(ref, "@") {
-		return nil, fmt.Errorf("model %q: @file references are not served; upload the model inline as model_json", ref)
-	}
-	name := ref
-	if name == "" {
-		name = "disk15k"
-	}
-	t.modelMu.Lock()
-	defer t.modelMu.Unlock()
-	if m, ok := t.models[name]; ok {
-		s.mCalHits.Inc()
-		return m, nil
-	}
-	factory, err := calibrationFactory(name)
-	if err != nil {
-		return nil, err
-	}
-	grid := costmodel.DefaultGrid()
-	if s.opt.FastCalibration {
-		grid = costmodel.FastGrid()
-	}
-	s.mCalibrations.Inc()
-	m := costmodel.Calibrate(name, factory, grid)
-	t.models[name] = m
-	return m, nil
-}
-
-func calibrationFactory(name string) (costmodel.TargetFactory, error) {
-	switch name {
-	case "disk15k":
-		return func(e *storage.Engine) storage.Device {
-			return storage.NewDisk(e, "disk", storage.Disk15KConfig())
-		}, nil
-	case "disk7200":
-		return func(e *storage.Engine) storage.Device {
-			return storage.NewDisk(e, "disk", storage.Disk7200Config())
-		}, nil
-	case "ssd":
-		return func(e *storage.Engine) storage.Device {
-			return storage.NewSSD(e, "ssd", storage.SSD32Config())
-		}, nil
-	}
-	return nil, fmt.Errorf("unknown model %q (want disk15k, disk7200, ssd, or model_json)", name)
-}
-
-// buildState parses and validates a problem document into a fresh state
-// snapshot (unversioned; install stamps it).
-func (t *tenant) buildState(s *Server, raw []byte) (*tenantState, error) {
-	var doc docFile
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("parsing problem document: %w", err)
-	}
-	if len(doc.Objects) == 0 || len(doc.Targets) == 0 {
-		return nil, fmt.Errorf("problem document needs at least one object and one target")
-	}
-	st := &tenantState{raw: raw}
-	for _, o := range doc.Objects {
-		kind, err := kindOf(o.Kind)
+		t.modelMu.Lock()
+		defer t.modelMu.Unlock()
+		if m, ok := t.models[ref]; ok {
+			s.mCalHits.Inc()
+			return m, nil
+		}
+		grid := costmodel.DefaultGrid()
+		if s.opt.FastCalibration {
+			grid = costmodel.FastGrid()
+		}
+		m, err := replay.CalibrateBuiltin(ref, grid)
 		if err != nil {
 			return nil, err
 		}
-		if o.SizeMB <= 0 {
-			return nil, fmt.Errorf("object %q: size_mb must be positive", o.Name)
-		}
-		st.problem.Objects = append(st.problem.Objects, dblayout.Object{
-			Name: o.Name, Size: o.SizeMB << 20, Kind: kind,
-		})
-		st.names = append(st.names, o.Name)
-		st.sizes = append(st.sizes, o.SizeMB<<20)
+		s.mCalibrations.Inc()
+		t.models[ref] = m
+		return m, nil
 	}
-	for _, tg := range doc.Targets {
-		m, err := t.model(s, tg.Model, tg.ModelJSON)
-		if err != nil {
-			return nil, fmt.Errorf("target %q: %w", tg.Name, err)
-		}
-		st.problem.Targets = append(st.problem.Targets, &layout.Target{
-			Name: tg.Name, Capacity: tg.CapacityMB << 20, Model: m,
-		})
-		st.caps = append(st.caps, tg.CapacityMB<<20)
-	}
-	st.problem.Workloads = doc.Workloads
-	if err := instanceFor(st).Validate(); err != nil {
-		return nil, err
-	}
-	cur, err := currentFrom(doc.Current, len(st.names), len(st.caps))
+}
+
+// buildState reads a problem document into a fresh state snapshot
+// (unversioned; install stamps it).
+func (t *tenant) buildState(s *Server, raw []byte) (*tenantState, error) {
+	doc, err := dblayout.ReadDocument(raw, t.namedModel(s))
 	if err != nil {
 		return nil, err
 	}
-	if err := cur.CheckCapacity(st.sizes, st.caps); err != nil {
-		return nil, fmt.Errorf("current layout: %w", err)
+	st := &tenantState{problem: doc.Problem, current: doc.Current, raw: raw}
+	for _, o := range doc.Problem.Objects {
+		st.names = append(st.names, o.Name)
+		st.sizes = append(st.sizes, o.Size)
 	}
-	st.current = cur
+	for _, tg := range doc.Problem.Targets {
+		st.caps = append(st.caps, tg.Capacity)
+	}
 	return st, nil
-}
-
-func currentFrom(rows [][]float64, n, m int) (*layout.Layout, error) {
-	if rows == nil {
-		return layout.SEE(n, m), nil
-	}
-	if len(rows) != n {
-		return nil, fmt.Errorf("\"current\" has %d rows for %d objects", len(rows), n)
-	}
-	l := layout.New(n, m)
-	for i, row := range rows {
-		if len(row) != m {
-			return nil, fmt.Errorf("\"current\" row %d has %d fractions for %d targets", i, len(row), m)
-		}
-		l.SetRow(i, row)
-	}
-	if err := l.CheckIntegrity(); err != nil {
-		return nil, fmt.Errorf("\"current\" layout: %w", err)
-	}
-	return l, nil
 }
 
 // traceDigest identifies uploaded trace content for the fit cache.
