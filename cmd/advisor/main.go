@@ -34,7 +34,9 @@
 // with an existing journal resumes an interrupted migration from its
 // checkpoint instead of restarting it, and a journal that records
 // completion appends nothing. Built-in device types only: "@file" and
-// "model_json" cost models carry no simulator configuration.
+// "model_json" cost models carry no simulator configuration, so -execute
+// refuses a document with either before it solves, and an "@file" one
+// before it calibrates any model.
 //
 // Exit codes distinguish failure classes so scripts can react:
 //
@@ -74,16 +76,25 @@ import (
 	"dblayout/internal/wal"
 )
 
+// errNoSimulator is why -execute refuses a target whose cost model is not a
+// built-in device type.
+var errNoSimulator = errors.New(`-execute simulates built-in device types only; an "@file" or model_json cost model has no simulator configuration`)
+
 // namedModels resolves the problem document's named target models: an
 // "@file" reference loads a model saved by cmd/calibrate, and a built-in
-// device type is calibrated once per run.
-func namedModels() func(ref string) (*costmodel.Model, error) {
+// device type is calibrated once per run. Under -execute an "@file"
+// reference is refused, and the reader resolves those before any built-in
+// type, so the refusal costs no calibration.
+func namedModels(execute bool) func(ref string) (*costmodel.Model, error) {
 	cache := map[string]*costmodel.Model{}
 	return func(ref string) (m *costmodel.Model, err error) {
 		if m = cache[ref]; m != nil {
 			return m, nil
 		}
 		if path, ok := strings.CutPrefix(ref, "@"); ok {
+			if execute {
+				return nil, errNoSimulator
+			}
 			var f *os.File
 			if f, err = os.Open(path); err != nil {
 				return nil, err
@@ -142,9 +153,15 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	doc, err := dblayout.ReadDocument(data, namedModels())
+	doc, err := dblayout.ReadDocument(data, namedModels(*execute))
 	if err != nil {
 		return err
+	}
+	if *execute {
+		// Refuse a model_json target before solving, not after.
+		if _, err := simulatedDevices(doc); err != nil {
+			return err
+		}
 	}
 	p := doc.Problem
 
@@ -223,23 +240,36 @@ type executeOptions struct {
 	metrics     *obs.Registry
 }
 
+// simulatedDevices returns the device -execute simulates for each target of
+// doc, refusing a target whose model is not a built-in device type.
+func simulatedDevices(doc *dblayout.Document) ([]replay.DeviceSpec, error) {
+	var devices []replay.DeviceSpec
+	for j, t := range doc.Problem.Targets {
+		spec, err := replay.Builtin(doc.Models[j], t.Name, t.Capacity)
+		if err != nil {
+			return nil, fmt.Errorf("target %q: %w", t.Name, errNoSimulator)
+		}
+		devices = append(devices, spec)
+	}
+	return devices, nil
+}
+
 // executeMigration simulates the online migration from the current layout
 // to the recommended one against an idle system, journaling every move so
 // an interrupted run resumes from its checkpoint.
 func executeMigration(doc *dblayout.Document, target *dblayout.Layout, opt executeOptions) error {
 	p, current := doc.Problem, doc.Current
-	sys := &replay.System{Objects: p.Objects, StripeSize: p.StripeSize}
+	devices, err := simulatedDevices(doc)
+	if err != nil {
+		return err
+	}
+	sys := &replay.System{Objects: p.Objects, Devices: devices, StripeSize: p.StripeSize}
 	sizes := make([]int64, len(p.Objects))
 	for i, o := range p.Objects {
 		sizes[i] = o.Size
 	}
 	caps := make([]int64, len(p.Targets))
 	for j, t := range p.Targets {
-		spec, err := replay.Builtin(doc.Models[j], t.Name, t.Capacity)
-		if err != nil {
-			return fmt.Errorf("target %q: -execute simulates built-in device types only; an \"@file\" or model_json cost model has no simulator configuration", t.Name)
-		}
-		sys.Devices = append(sys.Devices, spec)
 		caps[j] = t.Capacity
 	}
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"dblayout"
+	"dblayout/internal/layouttest"
 	"dblayout/internal/migrate"
 )
 
@@ -60,6 +62,56 @@ func TestRefusedDocumentExitsBeforeCalibrating(t *testing.T) {
 	const want = "advisor: current layout: layout: target 0 assigned 654311424 bytes, capacity 524288000\n"
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 || string(out) != want {
 		t.Fatalf("exit %v, output %q; want status 1 and %q", err, out, want)
+	}
+}
+
+// TestExecuteRefusesBeforeSolving runs the advisor with -execute on
+// documents with a target it cannot simulate: it exits 1 with the refusal
+// and nothing else, so it neither solves nor prints a layout, and for an
+// "@file" target (the file need not exist) it calibrates no model either.
+func TestExecuteRefusesBeforeSolving(t *testing.T) {
+	var model bytes.Buffer
+	if err := layouttest.DiskModel().Save(&model); err != nil {
+		t.Fatal(err)
+	}
+	const refusal = "-execute simulates built-in device types only; " +
+		`an "@file" or model_json cost model has no simulator configuration`
+	inline := `"model_json": ` + model.String()
+	for _, c := range []struct {
+		name, disk0, disk1, refused string
+	}{
+		{"@file", `"model": "disk15k"`, `"model": "@ssd.json"`, "disk1"},
+		// No built-in target: the reader calibrates nothing here either.
+		{"model_json", inline, inline, "disk0"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "problem.json")
+			if err := os.WriteFile(path, []byte(`{
+				"objects": [{"name": "A", "size_mb": 48}, {"name": "B", "size_mb": 48}],
+				"targets": [
+					{"name": "disk0", "capacity_mb": 1024, `+c.disk0+`},
+					{"name": "disk1", "capacity_mb": 1024, `+c.disk1+`}
+				],
+				"workloads": {"workloads": [
+					{"name": "A", "read_size": 8192, "read_rate": 10, "run_count": 1},
+					{"name": "B", "read_size": 8192, "read_rate": 10, "run_count": 1}
+				]}
+			}`), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			exe, err := os.Executable()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cmd := exec.Command(exe, "-problem", path, "-execute")
+			cmd.Env = append(os.Environ(), "ADVISOR_TEST_MAIN=1")
+			out, err := cmd.CombinedOutput()
+			var exit *exec.ExitError
+			want := fmt.Sprintf("advisor: target %q: %s\n", c.refused, refusal)
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 || string(out) != want {
+				t.Fatalf("exit %v, output %q; want status 1 and %q", err, out, want)
+			}
+		})
 	}
 }
 

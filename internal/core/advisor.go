@@ -130,7 +130,10 @@ type Recommendation struct {
 	// PolishTime is the share of RegularizeTime spent in the
 	// regular-to-regular polish pass.
 	PolishTime time.Duration
-	// SolverIters and SolverEvals report solver effort.
+	// SolverIters and SolverEvals report solver effort. SolverEvals is
+	// nlp.Result.Evals: it counts the candidate moves the solver
+	// considered, not the kernel probes it made, so a scan that skips
+	// hopeless candidates keeps it unchanged.
 	SolverIters, SolverEvals int
 	// SolverRestarts counts the multi-start restart rounds the winning
 	// solve performed; SolverWorkers is the worker-pool width it used.

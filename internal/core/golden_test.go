@@ -26,16 +26,40 @@ func layoutHash(l *layout.Layout) uint64 {
 	return h.Sum64()
 }
 
+// constrainedReplicated is Replicated(6, 6) under pins, bans and
+// separations, on targets of 10 GiB each for 48 GiB of objects, so both the
+// administrative constraints and capacity turn candidates away.
+func constrainedReplicated() *layout.Instance {
+	inst := layouttest.Replicated(6, 6)
+	inst.Constraints = &layout.Constraints{
+		Allow:    map[int][]int{0: {0, 1, 2}, 4: {3, 4, 5}, 12: {1, 3}},
+		Deny:     map[int][]int{2: {0}, 6: {1, 2}, 10: {5}},
+		Separate: [][2]int{{0, 1}, {4, 5}, {8, 9}, {12, 13}},
+	}
+	for _, t := range inst.Targets {
+		t.Capacity = 10 << 30
+	}
+	return inst
+}
+
 // TestRecommendGolden pins the advisor's output bits: the final objective,
 // the solver's evaluation count and a hash of the final layout. A change
-// that only makes the evaluation kernel faster must leave all three as they
-// are; one that moves them changes what every caller gets. The values were
-// recorded on amd64, where Go never fuses a multiply and an add; other
-// architectures may, so they skip.
+// that only makes the evaluation kernel or a candidate scan faster must
+// leave all three as they are; one that moves them changes what every
+// caller gets. The heuristic+SEE case is dblayout.Recommend's default
+// multi-start, two rounds from each start. The values were recorded on
+// amd64, where Go never fuses a multiply and an add; other architectures
+// may, so they skip.
 func TestRecommendGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden bits are recorded on amd64, not %s", runtime.GOARCH)
 	}
+	r104 := layouttest.Replicated(10, 4)
+	heuristic, err := layout.InitialLayout(r104)
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := []*layout.Layout{heuristic, layout.SEE(r104.N(), r104.M())}
 	for _, c := range []struct {
 		name    string
 		inst    *layout.Instance
@@ -50,6 +74,10 @@ func TestRecommendGolden(t *testing.T) {
 			0x3ffe95dc6660687c, 195314, 0x74e41666a35c5f05},
 		{"Fleet(1024,256)", layouttest.Fleet(1024, 256), fleetOptions(),
 			0x3ff1a5e3fe2deb4e, 15338, 0xe43f866981068ecf},
+		{"Replicated(10,4) heuristic+SEE", r104, Options{NLP: nlp.Options{Seed: 1}, InitialLayouts: starts},
+			0x4012f5b45c4be99b, 27030, 0x940830cb8307f538},
+		{"constrained Replicated(6,6)", constrainedReplicated(), Options{NLP: nlp.Options{Seed: 1}},
+			0x3fff0189374bc6a8, 1062, 0xc479368dd2d60fae},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			adv, err := New(c.inst, c.opt)

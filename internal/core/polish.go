@@ -19,6 +19,9 @@ import (
 // is enabled by default and can be disabled for ablation via
 // Options.SkipPolish.
 //
+// Candidates are priced by a rowPricer, so a row that cannot beat the best
+// one so far stops being probed as soon as that shows.
+//
 // The pass checks deadline between objects; a zero deadline means
 // unbounded. Once the deadline has passed it stops and returns the layout
 // polished so far, which is regular and valid, with cut set.
@@ -35,6 +38,7 @@ func PolishRegular(ev *layout.Evaluator, inst *layout.Instance, l *layout.Layout
 	if cur.N*cur.M >= regularizeAutoPairs && maxWidth > regularizeMaxWidth {
 		maxWidth = regularizeMaxWidth
 	}
+	rp := newRowPricer(inc, maxWidth)
 
 	const maxPasses = 8
 	for pass := 0; pass < maxPasses; pass++ {
@@ -50,25 +54,28 @@ func PolishRegular(ev *layout.Evaluator, inst *layout.Instance, l *layout.Layout
 			candidates = append(candidates, consistentCandidates(oldRow, maxWidth)...)
 			candidates = append(candidates, balancingCandidates(utils, maxWidth)...)
 
+			rp.setObject(i)
 			bestMax, bestSum := curObj, curSum
 			var bestRow []float64
-			var bestUtils []float64
 			for _, cand := range candidates {
 				if sameRow(cand, oldRow) || !capacityOK(cur, i, cand, sizes, caps) ||
 					!constraintsOK(inst, cur, i, cand) {
 					continue
 				}
-				newUtils, obj := evalCandidate(inc, utils, i, oldRow, cand)
-				sum := sumOf(newUtils)
-				if obj < bestMax-1e-12 || (obj < bestMax+1e-12 && sum < bestSum-1e-9) {
+				// A row whose max reaches bestMax+1e-12 fails both
+				// branches of the rule below, whatever its sum.
+				obj, ok := rp.price(utils, oldRow, cand, bestMax+1e-12)
+				if !ok {
+					continue
+				}
+				if sum := rp.sum(); obj < bestMax-1e-12 || sum < bestSum-1e-9 {
 					bestMax, bestSum = obj, sum
 					bestRow = cand
-					bestUtils = newUtils
 				}
 			}
 			if bestRow != nil {
 				inc.SetObjectRow(i, bestRow)
-				utils = bestUtils
+				utils = inc.Utilizations(utils[:0])
 				improved = true
 			}
 		}
@@ -87,14 +94,6 @@ func pairOf(utils []float64) (max, sum float64) {
 		}
 	}
 	return max, sum
-}
-
-func sumOf(utils []float64) float64 {
-	var s float64
-	for _, u := range utils {
-		s += u
-	}
-	return s
 }
 
 func sameRow(a, b []float64) bool {

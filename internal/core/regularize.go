@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"dblayout/internal/layout"
@@ -55,9 +56,11 @@ func Regularize(ev *layout.Evaluator, inst *layout.Instance, solved *layout.Layo
 
 	// A candidate row changes only the targets whose own cell changes, so
 	// the incremental kernel prices each candidate in O(changed targets *
-	// active objects) against the current partially-regularized layout.
+	// active objects) against the current partially-regularized layout,
+	// and a rowPricer stops pricing a candidate once it cannot win.
 	inc := ev.NewIncremental(l)
 	utils := inc.Utilizations(nil)
+	rp := newRowPricer(inc, maxWidth)
 
 	for _, i := range order {
 		if l.RowRegular(i) {
@@ -69,18 +72,16 @@ func Regularize(ev *layout.Evaluator, inst *layout.Instance, solved *layout.Layo
 		candidates = append(candidates, consistentCandidates(oldRow, maxWidth)...)
 		candidates = append(candidates, balancingCandidates(utils, maxWidth)...)
 
-		bestObj := -1.0
+		rp.setObject(i)
+		bestObj := math.Inf(1)
 		var bestRow []float64
-		var bestUtils []float64
 		for _, cand := range candidates {
 			if !capacityOK(l, i, cand, sizes, caps) || !constraintsOK(inst, l, i, cand) {
 				continue
 			}
-			newUtils, obj := evalCandidate(inc, utils, i, oldRow, cand)
-			if bestObj < 0 || obj < bestObj {
+			if obj, ok := rp.price(utils, oldRow, cand, bestObj); ok {
 				bestObj = obj
 				bestRow = cand
-				bestUtils = newUtils
 			}
 		}
 		if bestRow == nil {
@@ -88,7 +89,7 @@ func Regularize(ev *layout.Evaluator, inst *layout.Instance, solved *layout.Layo
 				inst.Objects[i].Name)
 		}
 		inc.SetObjectRow(i, bestRow)
-		utils = bestUtils
+		utils = inc.Utilizations(utils[:0])
 	}
 	if !l.IsRegular() {
 		return nil, fmt.Errorf("internal error: result not regular")
@@ -185,23 +186,103 @@ func capacityOK(l *layout.Layout, i int, cand []float64, sizes, caps []int64) bo
 	return true
 }
 
-// evalCandidate computes the utilizations and max-utilization objective that
-// would result from replacing object i's row with cand, delta-scoring only
-// the targets whose workload set changes — no mutate-evaluate-revert round
-// trip on the layout.
-func evalCandidate(inc *layout.IncrementalEvaluator, utils []float64, i int, oldRow, cand []float64) ([]float64, float64) {
-	newUtils := append([]float64(nil), utils...)
-	for j := range cand {
-		if oldRow[j] != cand[j] {
-			newUtils[j] = inc.ScoreObjectFrac(j, i, cand[j])
-		}
-	}
+// rowPricer prices candidate rows of one object against an incremental
+// kernel's current state. Replacing a row changes only the targets whose
+// own cell changes, so a candidate's max is at least the hottest target it
+// leaves alone; price stops at the first evidence that the max reaches the
+// caller's limit, before or between the probes of the changed targets. The
+// consistent and balancing candidates of one object put the same fractions
+// on many of the same targets, so each (target, fraction) probe is made
+// once per object. The kernel does not change while one object's candidates
+// are priced, so a remembered probe has the bits a repeated one would.
+type rowPricer struct {
+	inc  *layout.IncrementalEvaluator
+	obj  int
+	newU []float64 // the last fully priced candidate's utilizations
 
-	obj := 0.0
-	for _, u := range newUtils {
-		if u > obj {
-			obj = u
+	// Candidate fractions are 1/k for k <= width, or 0. The probe of
+	// fraction 1/k (k = 0: fraction 0) on target j lives at slot
+	// j*(width+1)+k and is the current object's while its stamp is gen.
+	width int
+	memo  []float64
+	stamp []int
+	gen   int
+}
+
+func newRowPricer(inc *layout.IncrementalEvaluator, width int) *rowPricer {
+	m := inc.Layout().M
+	return &rowPricer{
+		inc:   inc,
+		newU:  make([]float64, m),
+		width: width,
+		memo:  make([]float64, m*(width+1)),
+		stamp: make([]int, m*(width+1)),
+	}
+}
+
+// setObject makes object i the one whose candidates are priced next and
+// forgets the previous object's probes.
+func (p *rowPricer) setObject(i int) {
+	p.obj = i
+	p.gen++
+}
+
+// score returns target j's utilization with the current object's fraction
+// there set to f. A fraction other than 0 or 1/k for k <= width is probed
+// without the memo.
+func (p *rowPricer) score(j int, f float64) float64 {
+	k := 0
+	if f != 0 {
+		if r := 1 / f; r > 0.5 && r < float64(p.width)+0.5 {
+			k = int(r + 0.5)
+		}
+		if k == 0 || 1/float64(k) != f {
+			return p.inc.ScoreObjectFrac(j, p.obj, f)
 		}
 	}
-	return newUtils, obj
+	s := j*(p.width+1) + k
+	if p.stamp[s] != p.gen {
+		p.memo[s] = p.inc.ScoreObjectFrac(j, p.obj, f)
+		p.stamp[s] = p.gen
+	}
+	return p.memo[s]
+}
+
+// price returns the max utilization after replacing the current object's
+// row oldRow with cand, given the current utilizations, and ok = true, if
+// that max is below limit. Otherwise it returns ok = false, possibly before
+// probing every changed target. After an ok price, sum returns the
+// candidate's utilization sum.
+func (p *rowPricer) price(utils, oldRow, cand []float64, limit float64) (max float64, ok bool) {
+	for j, u := range utils {
+		if cand[j] == oldRow[j] && u > max {
+			max = u
+		}
+	}
+	if max >= limit {
+		return max, false
+	}
+	for j, f := range cand {
+		u := utils[j]
+		if f != oldRow[j] {
+			u = p.score(j, f)
+			if u > max {
+				if max = u; max >= limit {
+					return max, false
+				}
+			}
+		}
+		p.newU[j] = u
+	}
+	return max, true
+}
+
+// sum returns the utilization sum of the candidate price last accepted, in
+// target order.
+func (p *rowPricer) sum() float64 {
+	var s float64
+	for _, u := range p.newU {
+		s += u
+	}
+	return s
 }

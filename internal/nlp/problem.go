@@ -177,7 +177,14 @@ type Result struct {
 	Layout    *layout.Layout
 	Objective float64 // max target utilization of Layout
 	Iters     int     // improvement iterations performed
-	Evals     int     // target utilization evaluations performed
+	// Evals counts target utilizations the solver considered, a measure
+	// of search effort rather than of kernel probes: the transfer search
+	// and annealing count two per candidate move that fits the
+	// capacities and constraints, whether or not the scan had to probe
+	// it, two per applied move, and M per layout they start from; the
+	// projected gradient counts one per finite-difference probe and M per
+	// layout it scores in full.
+	Evals int
 	// Restarts counts the restart rounds actually performed beyond the
 	// first search. It equals Options.Restarts unless a budget or
 	// cancellation cut the multi-start short.

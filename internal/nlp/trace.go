@@ -22,7 +22,9 @@ type TraceEvent struct {
 	Accepted bool `json:"accepted"`
 	// Temp is the annealing temperature (0 for the other solvers).
 	Temp float64 `json:"temp,omitempty"`
-	// Evals is the cumulative count of target utilization evaluations.
+	// Evals is the cumulative count of target utilizations considered,
+	// as Result.Evals counts them: candidates considered, not kernel
+	// probes.
 	Evals int `json:"evals"`
 }
 

@@ -230,30 +230,70 @@ func (s *transferState) descend(res *Result, opt Options, tk *tracker, lim *limi
 // moveScan accumulates the lexicographically best improving move found by a
 // candidate scan (full or pruned) against a fixed baseline (max, sum)
 // objective.
+//
+// It prices only the candidates that can still win. A move off src changes
+// two utilizations, src's and its destination's, so its resulting max is at
+// least the larger of its source-side score and the hottest target it
+// leaves alone. When that bound already reaches bestMax+1e-12, neither
+// branch of the acceptance rule can hold, so the destination is not probed;
+// the O(M) sum is paid only by candidates whose max is below that line. The
+// source side of a move depends only on the object and the step, so it is
+// probed once per (object, step) and reused for every destination. The scan
+// state does not change while it runs, so a reused probe has the bits a
+// repeated one would, and the chosen move is the one that pricing every
+// candidate in full chooses.
 type moveScan struct {
 	s                *transferState
+	src              int
 	bestMax, bestSum float64
 	best             move
 	found            bool
+
+	// hot1 is the largest utilization among the targets other than src,
+	// at target hot1At (-1 when all are 0), and hot2 the largest among
+	// the rest: a move onto hot1At leaves hot2 as its hottest untouched
+	// target, any other move hot1.
+	hot1, hot2 float64
+	hot1At     int
+
+	// The current object's steps: the distinct fractions of its share of
+	// src that one move may shift, in stepFractions order, and the
+	// source-side score of each once it has been probed.
+	obj    int
+	steps  int
+	delta  [len(stepFractions)]float64
+	from   [len(stepFractions)]float64
+	priced [len(stepFractions)]bool
 }
 
-// consider prices one candidate move and keeps it if it improves the
-// running best under the lexicographic (max, sum) order.
-func (sc *moveScan) consider(m move) {
-	if m.delta <= layout.Epsilon || !sc.s.fits(m.obj, m.to, m.delta) {
-		return
+// newScan starts a candidate scan off src against the baseline (curMax,
+// curSum), finding the two hottest targets other than src once.
+func (s *transferState) newScan(src int, curMax, curSum float64) moveScan {
+	sc := moveScan{s: s, src: src, bestMax: curMax, bestSum: curSum, hot1At: -1}
+	for j, u := range s.utils {
+		switch {
+		case j == src:
+		case u > sc.hot1:
+			sc.hot1, sc.hot2, sc.hot1At = u, sc.hot1, j
+		case u > sc.hot2:
+			sc.hot2 = u
+		}
 	}
-	max, sum := sc.s.tryMove(m)
-	if max < sc.bestMax-1e-15 || (max < sc.bestMax+1e-12 && sum < sc.bestSum-1e-12) {
-		sc.bestMax, sc.bestSum = max, sum
-		sc.best = m
-		sc.found = true
-	}
+	return sc
 }
 
-// tryPair prices every step fraction of moving object i from src to to,
-// deduplicating whole-assignment transfers promoted by the dust clamp.
-func (sc *moveScan) tryPair(i, src, to int, have float64) {
+// hopeless reports whether a candidate whose resulting max is at least bound
+// can no longer win: neither branch of the acceptance rule in consider holds
+// for it, whatever its sum.
+func (sc *moveScan) hopeless(bound float64) bool {
+	return bound >= sc.bestMax+1e-12
+}
+
+// setObject makes object i, holding have of src, the scan's current object:
+// it lists the object's steps, folding the dust clamp's whole-assignment
+// duplicates into one, and forgets the previous object's source probes.
+func (sc *moveScan) setObject(i int, have float64) {
+	sc.obj, sc.steps = i, 0
 	fullTried := false
 	for _, f := range stepFractions {
 		delta := have * f
@@ -266,7 +306,69 @@ func (sc *moveScan) tryPair(i, src, to int, have float64) {
 			}
 			fullTried = true
 		}
-		sc.consider(move{obj: i, from: src, to: to, delta: delta})
+		if delta <= layout.Epsilon {
+			continue
+		}
+		sc.delta[sc.steps] = sc.s.inc.EffectiveDelta(i, sc.src, delta)
+		sc.priced[sc.steps] = false
+		sc.steps++
+	}
+}
+
+// tryPair prices every step of moving the current object from src to to.
+func (sc *moveScan) tryPair(to int) {
+	for k := 0; k < sc.steps; k++ {
+		sc.consider(to, k)
+	}
+}
+
+// consider prices the current object's step k onto target to, as far as it
+// can still win, and keeps it if it improves the running best under the
+// lexicographic (max, sum) order. Evals counts the two utilizations of every
+// candidate the scan considers, probed or not.
+func (sc *moveScan) consider(to, k int) {
+	s, i, delta := sc.s, sc.obj, sc.delta[k]
+	if !s.fits(i, to, delta) {
+		return
+	}
+	s.evals += 2
+	if !sc.priced[k] {
+		sc.from[k] = s.inc.ScoreObjectFrac(sc.src, i, s.l.At(i, sc.src)-delta)
+		sc.priced[k] = true
+	}
+	nf := sc.from[k]
+	bound := sc.hot1
+	if to == sc.hot1At {
+		bound = sc.hot2
+	}
+	if nf > bound {
+		bound = nf
+	}
+	if sc.hopeless(bound) {
+		return
+	}
+	nt := s.inc.ScoreObjectFrac(to, i, s.l.At(i, to)+delta)
+	max := bound
+	if nt > max {
+		max = nt
+	}
+	if sc.hopeless(max) {
+		return
+	}
+	var sum float64
+	for j, u := range s.utils {
+		switch j {
+		case sc.src:
+			u = nf
+		case to:
+			u = nt
+		}
+		sum += u
+	}
+	if max < sc.bestMax-1e-15 || sum < sc.bestSum-1e-12 {
+		sc.bestMax, sc.bestSum = max, sum
+		sc.best = move{obj: i, from: sc.src, to: to, delta: delta}
+		sc.found = true
 	}
 }
 
@@ -299,7 +401,7 @@ func (s *transferState) bestMove(curMax, curSum float64, opt Options, lim *limit
 // scanFull prices every (object on src) x (other target) x (step fraction)
 // candidate.
 func (s *transferState) scanFull(src int, curMax, curSum float64, opt Options, movable func(int) bool, lim *limiter) (move, bool) {
-	sc := moveScan{s: s, bestMax: curMax, bestSum: curSum}
+	sc := s.newScan(src, curMax, curSum)
 	for i := 0; i < s.l.N; i++ {
 		if lim.stop() != nil {
 			return move{}, false
@@ -308,11 +410,11 @@ func (s *transferState) scanFull(src int, curMax, curSum float64, opt Options, m
 		if have <= layout.Epsilon || !movable(i) {
 			continue
 		}
+		sc.setObject(i, have)
 		for to := 0; to < s.l.M; to++ {
-			if to == src {
-				continue
+			if to != src {
+				sc.tryPair(to)
 			}
-			sc.tryPair(i, src, to, have)
 		}
 	}
 	return sc.best, sc.found
@@ -347,14 +449,14 @@ func (s *transferState) scanPruned(src int, curMax, curSum float64, opt Options,
 		s.cand = s.cand[:pt]
 	}
 
-	sc := moveScan{s: s, bestMax: curMax, bestSum: curSum}
+	sc := s.newScan(src, curMax, curSum)
 	for _, h := range s.hot {
 		if lim.stop() != nil {
 			return move{}, false, true
 		}
-		have := s.l.At(h.obj, src)
+		sc.setObject(h.obj, s.l.At(h.obj, src))
 		for _, to := range s.cand {
-			sc.tryPair(h.obj, src, to, have)
+			sc.tryPair(to)
 		}
 	}
 	return sc.best, sc.found, false

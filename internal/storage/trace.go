@@ -110,12 +110,19 @@ func (rec *TraceRecord) Validate() error {
 // encoding/json; every other line, reordered keys and escaped strings
 // included, goes to json.Unmarshal. Both give the same records and the same
 // errors for every input.
+//
+// Records are decoded into blocks of traceBlock and copied once into an
+// exact-size Records slice at the end, instead of growing one slice by
+// append, which copies every record about twice more and holds the old and
+// the new backing array at once while it does.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	t := &Trace{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
 	line := 0
 	names := map[string]string{} // target names, shared by the records naming them
+	var full [][]TraceRecord     // filled blocks, in order
+	var block []TraceRecord      // the block being filled
 	for sc.Scan() {
 		line++
 		b := bytes.TrimSpace(sc.Bytes())
@@ -132,13 +139,29 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		if err := rec.Validate(); err != nil {
 			return nil, fmt.Errorf("storage: trace line %d: %w", line, err)
 		}
-		t.Records = append(t.Records, rec)
+		if len(block) == cap(block) {
+			if block != nil {
+				full = append(full, block)
+			}
+			block = make([]TraceRecord, 0, traceBlock)
+		}
+		block = append(block, rec)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("storage: trace line %d: %w", line+1, err)
 	}
+	if block != nil {
+		t.Records = make([]TraceRecord, 0, len(full)*traceBlock+len(block))
+		for _, b := range full {
+			t.Records = append(t.Records, b...)
+		}
+		t.Records = append(t.Records, block...)
+	}
 	return t, nil
 }
+
+// traceBlock is the number of records ReadTrace decodes into one block.
+const traceBlock = 4096
 
 // unmarshalRecord decodes one line with encoding/json. It is a function of
 // its own so that only fallback lines pay for the heap record json.Unmarshal
