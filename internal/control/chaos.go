@@ -13,7 +13,6 @@ package control
 
 import (
 	"bytes"
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -27,19 +26,21 @@ import (
 	"dblayout/internal/rome"
 	"dblayout/internal/rubicon"
 	"dblayout/internal/seed"
+	"dblayout/internal/storage"
 )
 
-// SimIO is a deterministic in-memory migrate.IO: an event heap keyed on
+// SimIO is a deterministic in-memory migrate.IO: a storage.Calendar keyed on
 // simulated time, devices with a fixed service rate, and an optional fail
 // time per device after which every request to it fails. It is the cheap
 // stand-in for replay.BackgroundIO that lets chaos scenarios run thousands of
-// controller lifetimes in milliseconds.
+// controller lifetimes in milliseconds. A request's completion (its done
+// callback, device and failed flag) rides in its calendar event by value, so
+// Submit and After allocate nothing once the calendar has grown.
 type SimIO struct {
 	devs    []SimDevice
 	queues  []int
 	now     float64
-	seq     int64
-	events  eventHeap
+	events  storage.Calendar[simEvent]
 	streams uint64
 }
 
@@ -56,29 +57,13 @@ func NewSimIO(devs []SimDevice, start float64) *SimIO {
 	return &SimIO{devs: devs, queues: make([]int, len(devs)), now: start}
 }
 
+// simEvent is one SimIO calendar entry: a callback scheduled with After, or
+// the completion of a request.
 type simEvent struct {
-	at  float64
-	seq int64
-	fn  func()
-}
-
-type eventHeap []simEvent
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, k int) bool {
-	if h[i].at != h[k].at {
-		return h[i].at < h[k].at
-	}
-	return h[i].seq < h[k].seq
-}
-func (h eventHeap) Swap(i, k int)       { h[i], h[k] = h[k], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(simEvent)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	fn     func()            // After's callback; nil for a completion
+	done   func(failed bool) // the request's completion callback
+	dev    int               // the request's device
+	failed bool              // the request failed
 }
 
 // Now returns the simulated time.
@@ -89,8 +74,7 @@ func (s *SimIO) After(delay float64, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	s.seq++
-	heap.Push(&s.events, simEvent{at: s.now + delay, seq: s.seq, fn: fn})
+	s.events.Push(s.now+delay, simEvent{fn: fn})
 }
 
 // Devices returns the device count.
@@ -115,29 +99,31 @@ func (s *SimIO) NewStream() uint64 {
 // transfer time at the device's service rate, and the request fails when the
 // device's fail time has passed.
 func (s *SimIO) Submit(dev, obj int, stream uint64, off, size int64, write bool, done func(failed bool)) {
-	d := s.devs[dev]
+	d := &s.devs[dev]
 	lat := 2e-4
 	if d.BytesPerSec > 0 {
 		lat += float64(size) / d.BytesPerSec
 	}
 	failed := d.FailAt >= 0 && s.now >= d.FailAt
 	s.queues[dev]++
-	s.After(lat, func() {
-		s.queues[dev]--
-		done(failed)
-	})
+	s.events.Push(s.now+lat, simEvent{done: done, dev: dev, failed: failed})
 }
 
 // Advance runs every scheduled event up to now+dt in deterministic order and
 // moves the clock there.
 func (s *SimIO) Advance(dt float64) {
 	end := s.now + dt
-	for s.events.Len() > 0 && s.events[0].at <= end {
-		ev := heap.Pop(&s.events).(simEvent)
-		if ev.at > s.now {
-			s.now = ev.at
+	for s.events.Len() > 0 && s.events.Next() <= end {
+		at, ev := s.events.Pop()
+		if at > s.now {
+			s.now = at
 		}
-		ev.fn()
+		if ev.fn != nil {
+			ev.fn()
+			continue
+		}
+		s.queues[ev.dev]--
+		ev.done(ev.failed)
 	}
 	s.now = end
 }

@@ -52,14 +52,19 @@ type Options struct {
 	// Journal receives write-ahead records. A nil journal still executes
 	// correctly but cannot be resumed after a crash. When the writer is
 	// sync-capable (implements Sync() error, e.g. *os.File) every
-	// state-transition record is fsynced before the transition applies.
+	// transition record (plan, state, abort, done) is fsynced before its
+	// transition applies: before a chunk is submitted, a step is applied
+	// to the layout and counted in the Result, or the done callback runs.
+	// Records with none of these between them share one fsync: the plan
+	// with the first step's copying record; a step's copied and committed
+	// records with the next step's copying record or with done; a rollback
+	// with its abort. A failed fsync is a crash that applies nothing.
 	Journal io.Writer
 	// SyncEvery batches journal fsyncs of progress records: up to
 	// SyncEvery-1 consecutive progress records may stay unsynced before a
-	// sync is forced (0 or 1 syncs after every record). Transition
-	// records (plan, state, abort, done) always sync regardless — losing
-	// a progress record only costs a recopy from the previous durable
-	// mark, losing a transition record would break exactly-once resume.
+	// sync is forced (0 or 1 syncs after every record). Losing a progress
+	// record only costs a recopy from the previous durable mark; transition
+	// records do not batch this way (see Journal).
 	SyncEvery int
 	// Resume holds the contents of a prior journal for crash recovery.
 	// Execute decodes and recovers it, verifies the script matches, and
@@ -126,8 +131,9 @@ type Result struct {
 }
 
 // Engine executes a migration script against a live simulation, one step at
-// a time, one chunk in flight. Every state transition is journaled before
-// it takes effect; see Checkpoint for the resume semantics.
+// a time, one chunk in flight. Every state transition is journaled, and
+// synced, before it takes effect (see Options.Journal); see Checkpoint for
+// the resume semantics.
 type Engine struct {
 	io    IO
 	steps []Step
@@ -138,16 +144,34 @@ type Engine struct {
 	progress []int64 // copied bytes per step (authoritative for the live run)
 	ckMark   int64   // last journaled progress for the current step
 	cur      int
+	// committing is the step whose committed record awaits the sync it
+	// shares with the next step's copying record or with done; the step
+	// applies once that sync succeeds. -1 when none.
+	committing int
 
-	layout     *layout.Layout
-	writeBase  int64 // destination write offset base for the current step
-	readStream uint64
-	wrStream   uint64
+	layout      *layout.Layout
+	sizes       []int64 // each object's full size, from the script
+	scriptBytes int64   // ScriptBytes(steps)
+	writeBase   int64   // destination write offset base for the current step
+	readStream  uint64
+	wrStream    uint64
 
 	throttleAt float64 // simulated time the next chunk's tokens are available
 	chunkStart float64
-	gateDepth  int // max tolerated queue depth, -1 = no gating
-	failedSrc  map[int]bool
+	gateDepth  int    // max tolerated queue depth, -1 = no gating
+	failedSrc  []bool // per device: its reads are skipped (FailedSources)
+
+	// The one chunk in flight: its size, endpoints and write offset.
+	chunk    int64
+	src, dst int
+	writeOff int64
+
+	// The per-chunk callbacks, bound once so that a chunk allocates
+	// nothing: issue (the throttle and queue-gate retries), read done and
+	// write done.
+	issueFn   func()
+	readDone  func(failed bool)
+	writeDone func(failed bool)
 
 	// pendingAbort, when non-nil, holds the failed targets of an abort
 	// decision recovered from a rollback record whose abort record the
@@ -211,22 +235,35 @@ func NewEngine(sim IO, base *layout.Layout, steps []Step, opt Options, done func
 		}
 	}
 	e := &Engine{
-		io:        sim,
-		steps:     steps,
-		opt:       opt,
-		jw:        &journalWriter{w: opt.Journal, syncEvery: opt.SyncEvery},
-		state:     make([]StepState, len(steps)),
-		progress:  make([]int64, len(steps)),
-		layout:    base.Clone(),
-		gateDepth: -1,
-		failedSrc: map[int]bool{},
-		onDone:    done,
+		io:          sim,
+		steps:       steps,
+		opt:         opt,
+		jw:          &journalWriter{w: opt.Journal, syncEvery: opt.SyncEvery},
+		state:       make([]StepState, len(steps)),
+		progress:    make([]int64, len(steps)),
+		committing:  -1,
+		layout:      base.Clone(),
+		sizes:       make([]int64, base.N),
+		scriptBytes: ScriptBytes(steps),
+		gateDepth:   -1,
+		failedSrc:   make([]bool, sim.Devices()),
+		onDone:      done,
 	}
+	e.issueFn, e.readDone, e.writeDone = e.issueChunk, e.chunkRead, e.chunkWritten
 	if opt.MaxQueueShare < 1 {
 		e.gateDepth = int(opt.MaxQueueShare / (1 - opt.MaxQueueShare))
 	}
 	for _, j := range opt.FailedSources {
-		e.failedSrc[j] = true
+		if j >= 0 && j < len(e.failedSrc) {
+			e.failedSrc[j] = true
+		}
+	}
+	// An object's size is implied by the first step that moves a positive
+	// fraction of it.
+	for i := len(steps) - 1; i >= 0; i-- {
+		if m := steps[i].Move; m.Fraction > 0 {
+			e.sizes[m.Object] = int64(float64(m.Bytes) / m.Fraction)
+		}
 	}
 	if ck := opt.Checkpoint; ck != nil {
 		if ck.Aborted {
@@ -293,7 +330,10 @@ func (e *Engine) Start() {
 	e.next()
 }
 
-// next advances to the first step that still needs work.
+// next advances to the first step that still needs work. A step that starts
+// copying journals its copying record; the sync that covers it (shared with
+// the plan, or with the previous step's copied and committed records) runs
+// before the step's first chunk.
 func (e *Engine) next() {
 	if e.stopped {
 		return
@@ -306,16 +346,19 @@ func (e *Engine) next() {
 		return
 	}
 	e.mStep.Set(float64(e.cur))
-	s := e.steps[e.cur]
-	e.writeBase = e.occupied(s.Move.To)
 	e.readStream = e.io.NewStream()
 	e.wrStream = e.io.NewStream()
 	e.ckMark = e.progress[e.cur]
-	switch e.state[e.cur] {
+	st := e.state[e.cur]
+	if st == StatePlanned && !e.journal(Record{T: "state", Step: e.cur, State: StateCopying.String()}) {
+		return
+	}
+	if !e.sync() {
+		return
+	}
+	e.writeBase = e.occupied(e.steps[e.cur].Move.To)
+	switch st {
 	case StatePlanned:
-		if !e.journal(Record{T: "state", Step: e.cur, State: StateCopying.String()}) {
-			return
-		}
 		e.state[e.cur] = StateCopying
 		e.copyLoop()
 	case StateCopying:
@@ -334,19 +377,9 @@ func (e *Engine) next() {
 func (e *Engine) occupied(j int) int64 {
 	var b int64
 	for i := 0; i < e.layout.N; i++ {
-		b += int64(e.layout.At(i, j) * float64(e.sizeOf(i)))
+		b += int64(e.layout.At(i, j) * float64(e.sizes[i]))
 	}
 	return b
-}
-
-func (e *Engine) sizeOf(obj int) int64 {
-	s := e.steps
-	for i := range s {
-		if s[i].Move.Object == obj && s[i].Move.Fraction > 0 {
-			return int64(float64(s[i].Move.Bytes) / s[i].Move.Fraction)
-		}
-	}
-	return 0
 }
 
 // copyLoop issues the next chunk of the current step, honouring the
@@ -355,8 +388,8 @@ func (e *Engine) copyLoop() {
 	if e.stopped {
 		return
 	}
-	s := e.steps[e.cur]
-	if e.progress[e.cur] >= s.Move.Bytes {
+	m := e.steps[e.cur].Move
+	if e.progress[e.cur] >= m.Bytes {
 		if !e.journal(Record{T: "state", Step: e.cur, State: StateCopied.String()}) {
 			return
 		}
@@ -364,10 +397,8 @@ func (e *Engine) copyLoop() {
 		e.commit()
 		return
 	}
-	chunk := e.opt.ChunkBytes
-	if rem := s.Move.Bytes - e.progress[e.cur]; rem < chunk {
-		chunk = rem
-	}
+	e.chunk = min(e.opt.ChunkBytes, m.Bytes-e.progress[e.cur])
+	e.src, e.dst = m.From, m.To
 	now := e.io.Now()
 	at := now
 	if e.opt.BytesPerSec > 0 {
@@ -375,53 +406,51 @@ func (e *Engine) copyLoop() {
 			e.throttleAt = now
 		}
 		at = e.throttleAt
-		e.throttleAt += float64(chunk) / e.opt.BytesPerSec
+		e.throttleAt += float64(e.chunk) / e.opt.BytesPerSec
 	}
 	if at > now {
-		e.io.After(at-now, func() { e.issueChunk(chunk) })
+		e.io.After(at-now, e.issueFn)
 	} else {
-		e.issueChunk(chunk)
+		e.issueChunk()
 	}
 }
 
 // issueChunk performs one read-then-write chunk copy, deferring while either
 // endpoint's queue is busier than the configured share allows.
-func (e *Engine) issueChunk(chunk int64) {
+func (e *Engine) issueChunk() {
 	if e.stopped {
 		return
 	}
-	s := e.steps[e.cur]
-	src, dst := s.Move.From, s.Move.To
+	src, dst := e.src, e.dst
 	if e.gateDepth >= 0 && (e.io.QueueDepth(src) > e.gateDepth || e.io.QueueDepth(dst) > e.gateDepth) {
-		e.io.After(gatePoll, func() { e.issueChunk(chunk) })
+		e.io.After(gatePoll, e.issueFn)
 		return
 	}
-	readOff := clampOffset(e.progress[e.cur], chunk, e.io.Capacity(src))
-	writeOff := clampOffset(e.writeBase+e.progress[e.cur], chunk, e.io.Capacity(dst))
+	readOff := clampOffset(e.progress[e.cur], e.chunk, e.io.Capacity(src))
+	e.writeOff = clampOffset(e.writeBase+e.progress[e.cur], e.chunk, e.io.Capacity(dst))
 	e.chunkStart = e.io.Now()
 	if e.failedSrc[src] {
 		// The source is gone: model reconstruction from redundancy or
 		// backup as a destination-only write.
-		e.res.ReconstructedBytes += chunk
-		e.mRecon.Add(chunk)
-		e.io.Submit(dst, s.Move.Object, e.wrStream, writeOff, chunk, true, func(failed bool) {
-			e.chunkWritten(chunk, dst, failed)
-		})
+		e.res.ReconstructedBytes += e.chunk
+		e.mRecon.Add(e.chunk)
+		e.io.Submit(dst, e.steps[e.cur].Move.Object, e.wrStream, e.writeOff, e.chunk, true, e.writeDone)
 		return
 	}
-	e.io.Submit(src, s.Move.Object, e.readStream, readOff, chunk, false, func(failed bool) {
-		if e.stopped {
-			return
-		}
-		if failed {
-			e.fault(src, "source read failed")
-			return
-		}
-		e.res.DeviceBytes += chunk
-		e.io.Submit(dst, s.Move.Object, e.wrStream, writeOff, chunk, true, func(failed bool) {
-			e.chunkWritten(chunk, dst, failed)
-		})
-	})
+	e.io.Submit(src, e.steps[e.cur].Move.Object, e.readStream, readOff, e.chunk, false, e.readDone)
+}
+
+// chunkRead writes the chunk just read to the destination.
+func (e *Engine) chunkRead(failed bool) {
+	if e.stopped {
+		return
+	}
+	if failed {
+		e.fault(e.src, "source read failed")
+		return
+	}
+	e.res.DeviceBytes += e.chunk
+	e.io.Submit(e.dst, e.steps[e.cur].Move.Object, e.wrStream, e.writeOff, e.chunk, true, e.writeDone)
 }
 
 func clampOffset(off, size, capacity int64) int64 {
@@ -434,14 +463,15 @@ func clampOffset(off, size, capacity int64) int64 {
 	return off
 }
 
-func (e *Engine) chunkWritten(chunk int64, dst int, failed bool) {
+func (e *Engine) chunkWritten(failed bool) {
 	if e.stopped {
 		return
 	}
 	if failed {
-		e.fault(dst, "destination write failed")
+		e.fault(e.dst, "destination write failed")
 		return
 	}
+	chunk := e.chunk
 	e.res.DeviceBytes += chunk
 	e.mDeviceBytes.Add(chunk)
 	e.mChunkLatency.Observe(e.io.Now() - e.chunkStart)
@@ -450,7 +480,7 @@ func (e *Engine) chunkWritten(chunk int64, dst int, failed bool) {
 	e.mCopied.Record(e.io.Now(), float64(e.copied))
 	if rate := e.mCopied.Rate(); rate > 0 {
 		e.mRate.Set(rate)
-		remain := ScriptBytes(e.steps) - e.res.CommittedBytes - e.progress[e.cur]
+		remain := e.scriptBytes - e.res.CommittedBytes - e.progress[e.cur]
 		if remain < 0 {
 			remain = 0
 		}
@@ -465,22 +495,41 @@ func (e *Engine) chunkWritten(chunk int64, dst int, failed bool) {
 	e.copyLoop()
 }
 
-// commit journals the commit record and applies the step to the layout.
+// commit journals the step's committed record and moves on. The step applies
+// (to the layout and to the Result) in sync, once the sync it shares with
+// the next step's copying record or with done has succeeded.
 func (e *Engine) commit() {
 	if !e.journal(Record{T: "state", Step: e.cur, State: StateCommitted.String()}) {
 		return
 	}
-	s := e.steps[e.cur]
-	e.state[e.cur] = StateCommitted
+	e.committing = e.cur
+	e.cur++
+	e.next()
+}
+
+// sync makes the transition records appended since the last sync durable,
+// then applies the commit that waited for them, if any. A failed sync is a
+// crash that applies nothing. Returns false when the engine crashed.
+func (e *Engine) sync() bool {
+	if err := e.jw.sync(); err != nil {
+		e.crash(err)
+		return false
+	}
+	i := e.committing
+	if i < 0 {
+		return true
+	}
+	e.committing = -1
+	s := e.steps[i]
+	e.state[i] = StateCommitted
 	applyStep(e.layout, s)
 	e.res.Committed++
 	e.res.CommittedBytes += s.Move.Bytes
 	e.mCommitted.Inc()
 	e.mBytes.Add(s.Move.Bytes)
 	e.mMoveBytes.Observe(float64(s.Move.Bytes))
-	e.mProgress.Set(float64(e.res.CommittedBytes) / float64(ScriptBytes(e.steps)))
-	e.cur++
-	e.next()
+	e.mProgress.Set(float64(e.res.CommittedBytes) / float64(e.scriptBytes))
+	return true
 }
 
 // fault reacts to a failed device: the in-flight step rolls back (its
@@ -507,7 +556,7 @@ func (e *Engine) fault(dev int, reason string) {
 // aborted. Called from fault and from a resume whose checkpoint rolled a step
 // back but crashed before this record landed.
 func (e *Engine) completeAbort(failed []int, reason string) {
-	if !e.journal(Record{T: "abort", Failed: failed, Reason: reason}) {
+	if !e.journal(Record{T: "abort", Failed: failed, Reason: reason}) || !e.sync() {
 		return
 	}
 	names := make([]string, len(failed))
@@ -522,7 +571,7 @@ func (e *Engine) completeAbort(failed []int, reason string) {
 }
 
 func (e *Engine) complete() {
-	if !e.journal(Record{T: "done"}) {
+	if !e.journal(Record{T: "done"}) || !e.sync() {
 		return
 	}
 	e.res.Done = true
@@ -534,9 +583,7 @@ func (e *Engine) complete() {
 // announced. Returns false when the engine crashed.
 func (e *Engine) journal(r Record) bool {
 	if err := e.jw.append(r); err != nil {
-		e.res.Crashed = true
-		e.res.Err = fmt.Errorf("migrate: journal write failed: %w", err)
-		e.finish()
+		e.crash(err)
 		return false
 	}
 	if e.jw.w != nil {
@@ -544,6 +591,13 @@ func (e *Engine) journal(r Record) bool {
 		e.mJournal.Inc()
 	}
 	return true
+}
+
+// crash stops the engine on a failed journal write or sync.
+func (e *Engine) crash(err error) {
+	e.res.Crashed = true
+	e.res.Err = fmt.Errorf("migrate: journal write failed: %w", err)
+	e.finish()
 }
 
 // finish freezes the result and reports it. Idempotent.

@@ -14,6 +14,7 @@ import (
 	"dblayout/internal/replay"
 	"dblayout/internal/rome"
 	"dblayout/internal/storage"
+	"dblayout/internal/wal"
 )
 
 const mib = int64(1 << 20)
@@ -420,37 +421,208 @@ func TestCrashAtSyncBoundary(t *testing.T) {
 	}
 }
 
-// TestJournalWriterSyncBatching pins the sync policy: transition records
-// always sync, progress records sync every syncEvery-th append.
+// TestJournalWriterSyncBatching pins the sync policy: a transition record
+// waits for sync, which the engine calls before the transition applies, and
+// progress records sync every syncEvery-th append.
 func TestJournalWriterSyncBatching(t *testing.T) {
 	w := &powerLossWriter{remaining: 1 << 20}
 	jw := &journalWriter{w: w, syncEvery: 3}
-	must := func(r Record) {
+	must := func(err error) {
 		t.Helper()
-		if err := jw.append(r); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	must(Record{T: "state", Step: 0, State: StateCopying.String()})
-	if w.synced != w.buf.Len() {
-		t.Fatal("state record not synced immediately")
+	must(jw.append(Record{T: "plan", Steps: sampleSteps()}))
+	must(jw.append(Record{T: "state", Step: 0, State: StateCopying.String()}))
+	if w.synced != 0 {
+		t.Fatal("transition records synced on append")
 	}
-	must(Record{T: "progress", Step: 0, Done: 1})
-	must(Record{T: "progress", Step: 0, Done: 2})
+	must(jw.sync())
+	if w.synced != w.buf.Len() {
+		t.Fatal("sync left transition records unsynced")
+	}
+	must(jw.append(Record{T: "progress", Step: 0, Done: 1}))
+	must(jw.append(Record{T: "progress", Step: 0, Done: 2}))
 	if w.synced == w.buf.Len() {
 		t.Fatal("progress records synced before the batch filled")
 	}
-	must(Record{T: "progress", Step: 0, Done: 3})
+	must(jw.sync())
+	if w.synced == w.buf.Len() {
+		t.Fatal("sync with no transition record pending flushed a progress batch")
+	}
+	must(jw.append(Record{T: "progress", Step: 0, Done: 3}))
 	if w.synced != w.buf.Len() {
 		t.Fatal("third progress record did not force a sync")
 	}
-	must(Record{T: "progress", Step: 0, Done: 4})
+	must(jw.append(Record{T: "progress", Step: 0, Done: 4}))
 	if w.synced == w.buf.Len() {
 		t.Fatal("batch counter did not reset after the forced sync")
 	}
-	must(Record{T: "state", Step: 0, State: StateCopied.String()})
+	must(jw.append(Record{T: "state", Step: 0, State: StateCopied.String()}))
+	must(jw.sync())
 	if w.synced != w.buf.Len() {
 		t.Fatal("transition record after unsynced progress not synced")
+	}
+}
+
+// syncWriter is a journal sink that watches the sync rule. It decodes each
+// appended record and counts the transition (non-progress) records written
+// since the last Sync; failSync, when set, decides whether a Sync fails.
+type syncWriter struct {
+	t        *testing.T
+	buf      bytes.Buffer
+	records  []Record
+	syncs    int
+	unsynced int // transition records appended since the last Sync
+	failSync func(w *syncWriter) bool
+	failed   bool // a Sync has failed
+}
+
+func (w *syncWriter) Write(p []byte) (int, error) {
+	body, err := wal.DecodeFrame(bytes.TrimSuffix(p, []byte("\n")), len(w.records))
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	r, err := DecodeRecordBody(body)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	w.records = append(w.records, r)
+	if r.T != "progress" {
+		w.unsynced++
+	}
+	return w.buf.Write(p)
+}
+
+func (w *syncWriter) Sync() error {
+	if w.failSync != nil && w.failSync(w) {
+		w.failed = true
+		return errors.New("injected sync failure")
+	}
+	w.syncs++
+	w.unsynced = 0
+	return nil
+}
+
+// submitHookIO wraps the engine's IO and runs hook before every Submit.
+type submitHookIO struct {
+	IO
+	hook func()
+}
+
+func (s *submitHookIO) Submit(dev, obj int, stream uint64, off, size int64, write bool, done func(failed bool)) {
+	s.hook()
+	s.IO.Submit(dev, obj, stream, off, size, write, done)
+}
+
+// runFixtureEngine runs a fresh migration of the fixture's script over an
+// idle replay, with hook before every Submit, and returns its result and the
+// script.
+func runFixtureEngine(t *testing.T, opt Options, hook func()) (*Result, []Step) {
+	t.Helper()
+	sys, from, to := migrationFixture()
+	sizes, caps := fixtureSizesCaps(sys)
+	plan, err := layout.MigrationPlan(from, to, sizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps, err := BuildScript(from, plan, sizes, caps, opt.Scratch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res *Result
+	ropt := replay.Options{Seed: 1}
+	ropt.Background = func(sim *replay.BackgroundIO) {
+		eng, err := NewEngine(&submitHookIO{IO: sim, hook: hook}, from, steps, opt, func(r *Result) { res = r })
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Start()
+	}
+	if _, err := replay.RunIdle(sys, from, ropt); err != nil && res == nil {
+		t.Fatal(err)
+	}
+	if res == nil {
+		t.Fatal("engine never finished")
+	}
+	return res, steps
+}
+
+// TestJournalSyncsPerStepBoundary pins the sync rule: every transition
+// record is synced before the next chunk is submitted, and records with no
+// device I/O between them share a sync, so a run without progress marks
+// syncs once per step boundary — n+1 times for n steps, not once per record.
+func TestJournalSyncsPerStepBoundary(t *testing.T) {
+	w := &syncWriter{t: t}
+	submits := 0
+	res, steps := runFixtureEngine(t, Options{
+		Scratch:         fixtureScratch(),
+		CheckpointBytes: 1 << 40, // no progress marks
+		Journal:         w,
+	}, func() {
+		submits++
+		if w.unsynced > 0 {
+			t.Fatalf("chunk submitted with %d transition records unsynced (record %d, %+v)",
+				w.unsynced, len(w.records)-1, w.records[len(w.records)-1])
+		}
+	})
+	if !res.Done {
+		t.Fatalf("run did not finish: %v", res.Err)
+	}
+	n := len(steps)
+	if got, want := len(w.records), 3*n+2; got != want || res.JournalRecords != want {
+		t.Fatalf("%d records (%d counted) for %d steps, want %d", got, res.JournalRecords, n, want)
+	}
+	if w.unsynced > 0 {
+		t.Fatalf("%d transition records left unsynced after done", w.unsynced)
+	}
+	if w.syncs != n+1 {
+		t.Fatalf("%d syncs for %d steps, want %d (one per step boundary)", w.syncs, n, n+1)
+	}
+	if submits == 0 {
+		t.Fatal("no chunk was submitted")
+	}
+}
+
+// TestSyncFailureAppliesNothing: when the sync that covers a step's committed
+// record fails, the run crashes without applying the step — no chunk is
+// submitted after it, and the result's layout and committed counts exclude
+// the step.
+func TestSyncFailureAppliesNothing(t *testing.T) {
+	_, steps := runFixtureEngine(t, Options{Scratch: fixtureScratch()}, func() {})
+	for s := range steps {
+		w := &syncWriter{t: t, failSync: func(w *syncWriter) bool {
+			for _, r := range w.records {
+				if r.T == "state" && r.Step == s && r.State == StateCommitted.String() {
+					return true
+				}
+			}
+			return false
+		}}
+		res, _ := runFixtureEngine(t, Options{Scratch: fixtureScratch(), Journal: w}, func() {
+			if w.failed {
+				t.Fatalf("step %d: chunk submitted after the failed sync", s)
+			}
+		})
+		if !w.failed {
+			t.Fatalf("step %d: the sync covering its committed record never ran", s)
+		}
+		if !res.Crashed || res.Done || res.Aborted {
+			t.Fatalf("step %d: result %+v, want crashed", s, res)
+		}
+		_, want, _ := migrationFixture()
+		var wantBytes int64
+		for _, st := range steps[:s] {
+			applyStep(want, st)
+			wantBytes += st.Move.Bytes
+		}
+		if res.Committed != s || res.CommittedBytes != wantBytes {
+			t.Fatalf("step %d: committed %d steps / %d bytes, want %d / %d", s, res.Committed, res.CommittedBytes, s, wantBytes)
+		}
+		if !layoutsEqual(res.Layout, want) {
+			t.Fatalf("step %d: crashed layout applies the step:\n%v\nwant\n%v", s, res.Layout, want)
+		}
 	}
 }
 

@@ -76,15 +76,18 @@ type Record struct {
 // journalWriter appends CRC-framed records to a sink. A nil writer (no
 // journal configured) accepts everything silently.
 //
-// Durability: state-transition records (plan, state, abort, done) are
-// fsynced before append returns, so the "journal before transition"
-// protocol holds across power loss, not just process crashes. Progress
-// records may batch syncs (syncEvery > 1): losing one only costs a recopy
-// from the previous durable mark, never correctness.
+// Durability: a transition record (plan, state, abort, done) is written on
+// append and fsynced by sync, which the engine calls before the transition
+// applies, so the "journal before transition" protocol holds across power
+// loss, not just process crashes, while records with no transition applied
+// between them share one fsync. Progress records sync on append, batched
+// (syncEvery > 1): losing one only costs a recopy from the previous durable
+// mark, never correctness.
 type journalWriter struct {
 	w         io.Writer
-	syncEvery int // progress records per forced sync; <= 1 syncs every record
-	unsynced  int // progress records appended since the last sync
+	syncEvery int  // progress records per forced sync; <= 1 syncs every record
+	unsynced  int  // progress records appended since the last sync
+	pending   bool // a transition record is appended but not yet synced
 }
 
 // append journals one record. Any write or sync error — including a short
@@ -101,16 +104,32 @@ func (j *journalWriter) append(r Record) error {
 	if err := wal.Append(j.w, body); err != nil {
 		return err
 	}
-	if r.T == "progress" {
-		j.unsynced++
-		if j.syncEvery > 1 && j.unsynced < j.syncEvery {
-			return nil
-		}
+	if r.T != "progress" {
+		j.pending = true
+		return nil
 	}
+	j.unsynced++
+	if j.syncEvery > 1 && j.unsynced < j.syncEvery {
+		return nil
+	}
+	return j.flush()
+}
+
+// sync makes the appended transition records durable, with any progress
+// records appended among them. With no transition record pending it does
+// nothing, so unsynced progress records keep their batch.
+func (j *journalWriter) sync() error {
+	if j == nil || !j.pending {
+		return nil
+	}
+	return j.flush()
+}
+
+func (j *journalWriter) flush() error {
 	if err := wal.Sync(j.w); err != nil {
 		return err
 	}
-	j.unsynced = 0
+	j.unsynced, j.pending = 0, false
 	return nil
 }
 

@@ -21,7 +21,6 @@
 package storage
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -59,31 +58,88 @@ func (r *Request) Completed() float64 { return r.complete }
 // keeps utilization accounting comparable across target types.
 func (r *Request) ServiceTime() float64 { return r.service }
 
-// event is a scheduled callback in the simulation calendar.
-type event struct {
+// Calendar is a discrete-event calendar: a binary min-heap of events held by
+// value and ordered by time, then by insertion sequence, so events due at the
+// same time pop in the order they were pushed and a run replays bit for bit.
+// The payload P is what its owner runs when an event pops: a callback, or a
+// request's completion. Holding events by value, the calendar allocates
+// nothing per event once its backing array has grown, and Pop clears the slot
+// it vacates, so no popped payload (and nothing a popped closure captured)
+// stays reachable through it.
+//
+// The zero value is an empty calendar.
+type Calendar[P any] struct {
+	ev  []calendarEvent[P]
+	seq uint64
+}
+
+type calendarEvent[P any] struct {
 	at  float64
 	seq uint64 // tie-break for deterministic ordering
-	fn  func()
+	p   P
 }
 
-// eventHeap is a min-heap of events ordered by (time, sequence).
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *calendarEvent[P]) before(b *calendarEvent[P]) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// Len returns the number of pending events.
+func (c *Calendar[P]) Len() int { return len(c.ev) }
+
+// Next returns the time of the earliest pending event. The calendar must not
+// be empty.
+func (c *Calendar[P]) Next() float64 { return c.ev[0].at }
+
+// Push schedules p at time at.
+func (c *Calendar[P]) Push(at float64, p P) {
+	c.seq++
+	x := calendarEvent[P]{at: at, seq: c.seq, p: p}
+	c.ev = append(c.ev, x)
+	h := c.ev
+	i := len(h) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !x.before(&h[up]) {
+			break
+		}
+		h[i] = h[up]
+		i = up
+	}
+	h[i] = x
+}
+
+// Pop removes the earliest event and returns its time and payload. The
+// calendar must not be empty.
+func (c *Calendar[P]) Pop() (float64, P) {
+	h := c.ev
+	top := h[0]
+	n := len(h) - 1
+	x := h[n]
+	h[n] = calendarEvent[P]{}
+	h = h[:n]
+	c.ev = h
+	if n > 0 {
+		i := 0
+		for {
+			k := 2*i + 1
+			if k >= n {
+				break
+			}
+			if r := k + 1; r < n && h[r].before(&h[k]) {
+				k = r
+			}
+			if !h[k].before(&x) {
+				break
+			}
+			h[i] = h[k]
+			i = k
+		}
+		h[i] = x
+	}
+	return top.at, top.p
 }
 
 // Engine is the discrete-event simulation core: a clock, an event calendar,
@@ -92,9 +148,8 @@ func (h *eventHeap) Pop() interface{} {
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
 	now       float64
-	seq       uint64
-	events    eventHeap
-	daemons   eventHeap
+	events    Calendar[func()]
+	daemons   Calendar[func()]
 	tracer    Tracer
 	devices   []Device
 	submitted int64
@@ -118,8 +173,7 @@ func (e *Engine) Schedule(at float64, fn func()) {
 	if at < e.now || math.IsNaN(at) {
 		panic(fmt.Sprintf("storage: schedule at %g before now %g", at, e.now))
 	}
-	e.seq++
-	heap.Push(&e.events, event{at: at, seq: e.seq, fn: fn})
+	e.events.Push(at, fn)
 }
 
 // After schedules fn to run delay seconds from now.
@@ -137,8 +191,7 @@ func (e *Engine) ScheduleDaemon(at float64, fn func()) {
 	if at < e.now || math.IsNaN(at) {
 		panic(fmt.Sprintf("storage: schedule daemon at %g before now %g", at, e.now))
 	}
-	e.seq++
-	heap.Push(&e.daemons, event{at: at, seq: e.seq, fn: fn})
+	e.daemons.Push(at, fn)
 }
 
 // register attaches a device to the engine for stats reporting.
@@ -183,27 +236,27 @@ func (e *Engine) ServiceTime() float64 { return e.service }
 // gaps between real events; a daemon may schedule real events, which the
 // loop condition re-reads.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	if e.events.Len() == 0 {
 		return false
 	}
-	for len(e.daemons) > 0 && e.daemons[0].at <= e.events[0].at {
-		d := heap.Pop(&e.daemons).(event)
-		if d.at > e.now {
-			e.now = d.at
+	for e.daemons.Len() > 0 && e.daemons.Next() <= e.events.Next() {
+		at, fn := e.daemons.Pop()
+		if at > e.now {
+			e.now = at
 		}
-		d.fn()
+		fn()
 	}
-	ev := heap.Pop(&e.events).(event)
-	e.now = ev.at
-	ev.fn()
+	at, fn := e.events.Pop()
+	e.now = at
+	fn()
 	return true
 }
 
 // Run processes events until the calendar drains or the clock passes limit
 // (limit <= 0 means no limit). It returns the final simulation time.
 func (e *Engine) Run(limit float64) float64 {
-	for len(e.events) > 0 {
-		if limit > 0 && e.events[0].at > limit {
+	for e.events.Len() > 0 {
+		if limit > 0 && e.events.Next() > limit {
 			e.now = limit
 			break
 		}
@@ -213,4 +266,4 @@ func (e *Engine) Run(limit float64) float64 {
 }
 
 // Pending returns the number of events still on the calendar.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.events.Len() }

@@ -36,6 +36,54 @@ func TestEngineTieBreakFIFO(t *testing.T) {
 	}
 }
 
+// TestCalendarOrderAndRelease: events pop by time, then in push order among
+// equal times, and a popped slot keeps no payload.
+func TestCalendarOrderAndRelease(t *testing.T) {
+	var c Calendar[*int]
+	times := []float64{3, 1, 2, 1, 3, 0.5, 2, 1}
+	vals := make([]int, len(times))
+	for i, at := range times {
+		vals[i] = i
+		c.Push(at, &vals[i])
+	}
+	var got []int
+	last := math.Inf(-1)
+	for c.Len() > 0 {
+		if next := c.Next(); next < last {
+			t.Fatalf("Next %g after popping %g", next, last)
+		}
+		at, p := c.Pop()
+		last = at
+		got = append(got, *p)
+	}
+	want := []int{5, 1, 3, 7, 2, 6, 0, 4}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("pop order %v, want %v", got, want)
+	}
+	for i, ev := range c.ev[:cap(c.ev)] {
+		if ev.p != nil {
+			t.Fatalf("slot %d still holds a popped payload", i)
+		}
+	}
+}
+
+// TestEngineScheduleAllocFree: once the calendar has grown, scheduling and
+// running an event allocates nothing.
+func TestEngineScheduleAllocFree(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 8; i++ {
+		e.After(float64(i), fn)
+	}
+	e.Run(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		e.After(1e-3, fn)
+		e.Step()
+	}); n != 0 {
+		t.Fatalf("After plus Step allocates %v per event, want 0", n)
+	}
+}
+
 func TestEngineRunLimit(t *testing.T) {
 	e := NewEngine()
 	fired := false
