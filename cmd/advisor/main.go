@@ -115,7 +115,7 @@ func run() error {
 	seed := flag.Int64("seed", 1, "solver random seed")
 	budget := flag.Duration("budget", 0, "time budget for the whole advise: solves and polish stop when it runs out, then the best layout found so far is regularized and reported (0 = unlimited)")
 	workers := flag.Int("workers", 0, "solver restart parallelism (0 = auto, 1 = serial); the layout is identical at any worker count")
-	portfolio := flag.Bool("portfolio", false, "race the transfer, anneal and projected-gradient solvers concurrently and keep the racer whose layout ends lowest after regularize and polish")
+	portfolio := flag.Bool("portfolio", false, "run the whole advise with each of the transfer, anneal and (without constraints) projected-gradient solvers in turn and keep the best final layout, never worse than transfer alone")
 	nonRegular := flag.Bool("non-regular", false, "skip regularization (solver output may use uneven fractions)")
 	showUtils := flag.Bool("utilizations", false, "also print predicted per-target utilizations")
 	execute := flag.Bool("execute", false, "simulate the online migration from the current layout to the recommendation")

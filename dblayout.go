@@ -169,13 +169,14 @@ type Options struct {
 	// result — except when SolveBudget or a cancellation truncates the
 	// search.
 	Workers int
-	// Portfolio races the transfer, anneal and (when the problem has no
-	// administrative constraints) projected-gradient solvers concurrently
-	// from each starting layout, instead of running the transfer solver
-	// alone, and continues with the racer whose layout ends lowest after
-	// the round's own regularize and polish (the raw solver objective when
-	// SkipRegularization is set). Ties break toward the fixed solver
-	// order, so the outcome is still deterministic.
+	// Portfolio runs the whole advise (both starting layouts, every
+	// solve/regularize round) with the transfer, anneal and, when the
+	// problem has no administrative constraints, projected-gradient
+	// solvers, one solver after another, and keeps the best final layout.
+	// A strictly lower final objective wins, so ties go to the earlier
+	// solver in that order. Transfer runs first on the seeds it uses
+	// alone, so the portfolio never ends worse than the default. It costs
+	// about as much wall time as the three advises together.
 	Portfolio bool
 	// SolveBudget sets a deadline for the whole recommendation: solves and
 	// polish sweeps stop when it passes, while the one-shot regularizer

@@ -9,6 +9,9 @@
 //  3. optionally regularize the solver's layout so every object is spread
 //     evenly over a subset of targets (Sec. 4.3), and
 //  4. optionally repeat from additional initial layouts, keeping the best.
+//
+// The solver portfolio runs that whole loop once per solver and keeps the
+// best final layout across all of them.
 package core
 
 import (
@@ -33,14 +36,15 @@ const (
 	SolverTransfer Solver = iota
 	// SolverAnneal is simulated annealing over transfer moves.
 	SolverAnneal
-	// SolverPortfolio races the transfer, anneal and (when the instance
-	// has no administrative constraints) projected-gradient solvers
-	// concurrently from the same initial layout and continues with the
-	// racer whose layout ends lowest after the round's own
-	// post-processing: regularized and, unless SkipPolish, polished (the
-	// raw solver objective under SkipRegularization). A racer whose
-	// post-processing fails never wins. Ties break toward the earlier
-	// solver in that fixed order, so the outcome is deterministic.
+	// SolverPortfolio runs the whole advise (every initial layout, every
+	// solve/regularize round) once with each of the transfer, anneal and,
+	// when the instance has no administrative constraints,
+	// projected-gradient solvers, one after another, and keeps the best
+	// final layout: the multi-start loop of Fig. 4, run once per solver.
+	// A strictly lower final objective wins, so ties go to the earlier
+	// solver in that fixed order. Transfer runs first on the seeds a
+	// SolverTransfer advise uses, so the portfolio never ends worse than
+	// SolverTransfer, and on a tie it returns the same layout.
 	SolverPortfolio
 )
 
@@ -86,7 +90,7 @@ type Options struct {
 	// PolishRegular). Exposed for ablation.
 	SkipPolish bool
 	// SolveBudget sets a deadline for the whole advise, counted from the
-	// start of RecommendContext across every multi-start and
+	// start of RecommendContext across every solver, multi-start and
 	// solve/regularize round. When it passes mid-solve, the solver stops
 	// at its next periodic check and remaining solves are skipped; a
 	// polish pass stops between objects. The one-shot Sec. 4.3
@@ -119,9 +123,8 @@ type Recommendation struct {
 	FinalObjective   float64
 
 	// SolveTime and RegularizeTime break down where the advisor spent
-	// its time (paper Fig. 19). RegularizeTime includes PolishTime. A
-	// portfolio's racers post-process inside the solve, so there
-	// RegularizeTime is the winner's share of SolveTime.
+	// its time in the winning round (paper Fig. 19). RegularizeTime
+	// includes PolishTime.
 	SolveTime      time.Duration
 	RegularizeTime time.Duration
 	// InitialTime is the time spent constructing the heuristic initial
@@ -130,10 +133,10 @@ type Recommendation struct {
 	// PolishTime is the share of RegularizeTime spent in the
 	// regular-to-regular polish pass.
 	PolishTime time.Duration
-	// SolverIters and SolverEvals report solver effort. SolverEvals is
-	// nlp.Result.Evals: it counts the candidate moves the solver
-	// considered, not the kernel probes it made, so a scan that skips
-	// hopeless candidates keeps it unchanged.
+	// SolverIters and SolverEvals report the winning round's solver
+	// effort. SolverEvals is nlp.Result.Evals: it counts the candidate
+	// moves the solver considered, not the kernel probes it made, so a
+	// scan that skips hopeless candidates keeps it unchanged.
 	SolverIters, SolverEvals int
 	// SolverRestarts counts the multi-start restart rounds the winning
 	// solve performed; SolverWorkers is the worker-pool width it used.
@@ -154,17 +157,49 @@ type Recommendation struct {
 
 // Advisor recommends optimized layouts for one problem instance.
 type Advisor struct {
-	inst *layout.Instance
-	ev   *layout.Evaluator
-	opt  Options
+	inst    *layout.Instance
+	ev      *layout.Evaluator
+	opt     Options
+	methods []method
 }
 
-// New validates the instance and constructs an advisor.
+// New validates the instance and the solver choice and constructs an
+// advisor.
 func New(inst *layout.Instance, opt Options) (*Advisor, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
-	return &Advisor{inst: inst, ev: layout.NewEvaluator(inst), opt: opt}, nil
+	methods, err := methodsFor(opt.Solver, inst)
+	if err != nil {
+		return nil, err
+	}
+	return &Advisor{inst: inst, ev: layout.NewEvaluator(inst), opt: opt, methods: methods}, nil
+}
+
+// method is one nlp solver, under the name its solve spans log.
+type method struct {
+	name  string
+	solve func(ctx context.Context, ev *layout.Evaluator, inst *layout.Instance, init *layout.Layout, opt nlp.Options) nlp.Result
+}
+
+// methodsFor lists the solvers s runs, in the order that breaks final
+// objective ties. Projected gradient joins the portfolio only when the
+// instance has no administrative constraints (it cannot honour them).
+func methodsFor(s Solver, inst *layout.Instance) ([]method, error) {
+	transfer := method{"transfer", nlp.TransferSearch}
+	anneal := method{"anneal", nlp.Anneal}
+	switch s {
+	case SolverTransfer:
+		return []method{transfer}, nil
+	case SolverAnneal:
+		return []method{anneal}, nil
+	case SolverPortfolio:
+		if inst.Constraints != nil {
+			return []method{transfer, anneal}, nil
+		}
+		return []method{transfer, anneal, {"projected-gradient", nlp.ProjectedGradient}}, nil
+	}
+	return nil, fmt.Errorf("core: unknown solver %v", s)
 }
 
 // Evaluator exposes the advisor's utilization model, for reporting.
@@ -188,7 +223,9 @@ func (a *Advisor) Recommend() (*Recommendation, error) {
 	return a.RecommendContext(context.Background())
 }
 
-// RecommendContext runs the full pipeline of Fig. 4 under ctx.
+// RecommendContext runs the full pipeline of Fig. 4 under ctx: every
+// solve/regularize round from every initial layout, once per solver the
+// Solver option selects, keeping the best final layout.
 //
 // Cancellation is honoured promptly: the solvers poll the context every few
 // milliseconds. An already-cancelled context returns (nil, ctx.Err()) without
@@ -202,8 +239,8 @@ func (a *Advisor) Recommend() (*Recommendation, error) {
 // Degraded set (cause ErrBudgetExceeded); when a cost model panics or
 // returns a non-finite cost, the advisor falls back to the heuristic initial
 // layout — and, if even constructing that fails, to SEE — with cause
-// ErrModelFailure. Hard errors (nil, err) are reserved for invalid inputs,
-// solver misconfiguration, and genuinely infeasible problems (ErrInfeasible).
+// ErrModelFailure. Hard errors (nil, err) are reserved for invalid inputs and
+// genuinely infeasible problems (ErrInfeasible).
 func (a *Advisor) RecommendContext(ctx context.Context) (*Recommendation, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -243,32 +280,25 @@ func (a *Advisor) RecommendContext(ctx context.Context) (*Recommendation, error)
 		}
 	}
 
-	var best *Recommendation
-	var ctxErr error
 	for k, init := range inits {
 		if err := a.inst.ValidateLayout(init); err != nil {
 			return nil, fmt.Errorf("core: initial layout %d invalid: %w", k, err)
 		}
-		rec, err := a.recommendFrom(r, init, k)
-		if rec != nil {
+	}
+	var best *Recommendation
+	var ctxErr error
+pipelines:
+	for _, m := range a.methods {
+		for k, init := range inits {
+			rec, err := a.recommendFrom(r, m, init, k)
 			rec.InitialTime = seedTime
 			best = better(best, rec)
-		}
-		if err != nil {
-			if rec == nil || isContextErr(err) {
-				// Cancellation (or a hard error before any layout
-				// was produced): stop the multi-start immediately.
+			if err != nil {
+				// Cancelled: skip every remaining pipeline.
 				ctxErr = err
-				break
+				break pipelines
 			}
-			return nil, err
 		}
-	}
-	if best == nil {
-		if ctxErr != nil {
-			return nil, ctxErr
-		}
-		return nil, fmt.Errorf("core: no recommendation produced")
 	}
 	if r.degr != nil {
 		best.Degraded = true
@@ -292,11 +322,10 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// recommendFrom runs the solve->regularize rounds from starting layout
-// number `startIdx`. A non-nil error is a cancellation (returned with the
-// best-so-far recommendation) or a hard configuration error (returned with a
-// nil one).
-func (a *Advisor) recommendFrom(r *run, init *layout.Layout, startIdx int) (*Recommendation, error) {
+// recommendFrom runs the solve->regularize rounds with solver m from starting
+// layout number `startIdx`. A non-nil error is a cancellation, returned with
+// the best-so-far recommendation.
+func (a *Advisor) recommendFrom(r *run, m method, init *layout.Layout, startIdx int) (*Recommendation, error) {
 	rounds := a.opt.Rounds
 	if rounds <= 0 {
 		rounds = 2
@@ -307,12 +336,12 @@ func (a *Advisor) recommendFrom(r *run, init *layout.Layout, startIdx int) (*Rec
 	var best *Recommendation
 	start := init
 	for round := 0; round < rounds; round++ {
-		rec, err := a.oneRound(r, start, startIdx, round)
+		rec, err := a.oneRound(r, m, start, startIdx, round)
 		best = better(best, rec)
 		if err != nil {
 			return best, err
 		}
-		if rec == nil || rec.Final == nil || r.exhausted() {
+		if r.exhausted() {
 			break
 		}
 		start = rec.Final
@@ -320,22 +349,18 @@ func (a *Advisor) recommendFrom(r *run, init *layout.Layout, startIdx int) (*Rec
 	return best, nil
 }
 
-// oneRound performs one solve(+regularize) pass. Cost-model failures and
-// budget truncation are absorbed into the recommendation (fallback layouts,
-// degradation notes on r); the returned error is either a context error —
-// accompanied by a best-so-far recommendation — or a hard configuration
-// error with a nil recommendation.
-func (a *Advisor) oneRound(r *run, init *layout.Layout, startIdx, round int) (*Recommendation, error) {
+// oneRound performs one solve(+regularize) pass with solver m. Cost-model
+// failures and budget truncation are absorbed into the recommendation
+// (fallback layouts, degradation notes on r); the returned error is a
+// context error, accompanied by the best-so-far recommendation.
+func (a *Advisor) oneRound(r *run, m method, init *layout.Layout, startIdx, round int) (*Recommendation, error) {
 	rec := &Recommendation{Initial: init.Clone()}
 	rec.InitialObjective, _ = a.safeObjective(init)
 
 	start := time.Now()
-	res, post, err := a.safeSolve(r, init, startIdx, round)
+	res, err := a.safeSolve(r, m, init, startIdx, round)
 	rec.SolveTime = time.Since(start)
 	if err != nil {
-		if !errors.Is(err, ErrModelFailure) {
-			return nil, err // solver misconfiguration: a hard error
-		}
 		// The cost model failed inside the solver. The initial layout
 		// is valid (validated on entry), so it stands in for the
 		// solve's output — the ladder's "heuristic initial layout"
@@ -352,7 +377,7 @@ func (a *Advisor) oneRound(r *run, init *layout.Layout, startIdx, round int) (*R
 	rec.SolverRestarts = res.Restarts
 	rec.SolverWorkers = res.Workers
 	rec.Trajectory = res.Trajectory
-	a.log("solve", "solver", a.opt.Solver.String(), "duration", rec.SolveTime,
+	a.log("solve", "solver", m.name, "duration", rec.SolveTime,
 		"objective", rec.SolverObjective,
 		"delta", rec.InitialObjective-rec.SolverObjective,
 		"iters", res.Iters, "evals", res.Evals)
@@ -378,41 +403,38 @@ func (a *Advisor) oneRound(r *run, init *layout.Layout, startIdx, round int) (*R
 		return rec, nil
 	}
 
-	if post == nil {
-		p := a.postProcess(r, res.Layout)
-		post = &p
-	}
-	rec.RegularizeTime = post.elapsed
-	rec.PolishTime = post.polish
-	if post.cut {
+	start = time.Now()
+	reg, polish, cut, err := a.safeRegularize(r, res.Layout)
+	rec.RegularizeTime = time.Since(start)
+	rec.PolishTime = polish
+	if cut {
 		r.note("regularize", "best-so-far", ErrBudgetExceeded)
 	}
-	if post.err != nil {
+	if err == nil {
+		rec.FinalObjective, err = a.safeObjective(reg)
+	}
+	if err != nil {
 		// Regularization failed (or the model failed inside it or in
 		// evaluating its result). The solver layout may be
 		// non-regular, so fall back to the initial layout, which is
 		// both valid and as regular as the caller's starting point.
-		r.note("regularize", "initial", post.err)
+		r.note("regularize", "initial", err)
 		rec.Final = init.Clone()
 		rec.FinalObjective = rec.InitialObjective
 		return rec, nil
 	}
-	rec.Final = post.reg
-	rec.FinalObjective = post.obj
+	rec.Final = reg
 	a.log("regularize", "duration", rec.RegularizeTime, "polish", rec.PolishTime,
 		"objective", rec.FinalObjective,
 		"delta", rec.SolverObjective-rec.FinalObjective)
 	return rec, nil
 }
 
-// safeSolve dispatches to the configured solver with the remaining solve
-// budget, converting cost-model panics into ErrModelFailure-classified
-// errors (including panics raised on solver worker goroutines, which the
-// nlp worker pool re-raises on this goroutine). An unknown solver comes
-// back as an ordinary error. A solver that already post-processed its
-// layout (the portfolio, which ranks its racers that way) returns that
-// post-processing; the others return nil.
-func (a *Advisor) safeSolve(r *run, init *layout.Layout, startIdx, round int) (res nlp.Result, post *processed, err error) {
+// safeSolve runs solver m with the remaining solve budget, converting
+// cost-model panics into ErrModelFailure-classified errors (including panics
+// raised on solver worker goroutines, which the nlp worker pool re-raises on
+// this goroutine).
+func (a *Advisor) safeSolve(r *run, m method, init *layout.Layout, startIdx, round int) (res nlp.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = layout.AsModelFailure(p)
@@ -421,7 +443,8 @@ func (a *Advisor) safeSolve(r *run, init *layout.Layout, startIdx, round int) (r
 	nopt := a.opt.NLP
 	// Each (initial layout, round) solve gets its own seed stream; the
 	// solvers further derive per-restart streams below it, so no two
-	// perturbation sequences in one recommendation can collide.
+	// perturbation sequences in one recommendation can collide. Every
+	// solver sees the same stream: each keys its own RNGs under it.
 	nopt.Seed = seed.Sub(a.opt.NLP.Seed, seed.StreamAdvisor, int64(startIdx), int64(round))
 	if !r.deadline.IsZero() {
 		left := time.Until(r.deadline)
@@ -430,49 +453,13 @@ func (a *Advisor) safeSolve(r *run, init *layout.Layout, startIdx, round int) (r
 			// back the starting layout as the "best so far".
 			obj, oerr := a.safeObjective(init)
 			if oerr != nil {
-				return nlp.Result{}, nil, oerr
+				return nlp.Result{}, oerr
 			}
-			return nlp.Result{Layout: init.Clone(), Objective: obj, Stop: nlp.ErrBudgetExceeded}, nil, nil
+			return nlp.Result{Layout: init.Clone(), Objective: obj, Stop: nlp.ErrBudgetExceeded}, nil
 		}
 		nopt.Budget = left
 	}
-	switch a.opt.Solver {
-	case SolverTransfer:
-		return nlp.TransferSearch(r.ctx, a.ev, a.inst, init, nopt), nil, nil
-	case SolverAnneal:
-		return nlp.Anneal(r.ctx, a.ev, a.inst, init, nopt), nil, nil
-	case SolverPortfolio:
-		res, post = a.portfolioSolve(r, init, nopt)
-		return res, post, nil
-	}
-	return res, nil, fmt.Errorf("core: unknown solver %v", a.opt.Solver)
-}
-
-// processed is one solver layout's post-processing: the regularized and,
-// unless SkipPolish, polished layout with its objective, the time both
-// passes took (the recommendation's RegularizeTime) and the polish's share
-// of it, whether the run's deadline cut the polish short, and the first
-// failure.
-type processed struct {
-	reg     *layout.Layout
-	obj     float64
-	elapsed time.Duration
-	polish  time.Duration
-	cut     bool
-	err     error
-}
-
-// postProcess regularizes and polishes a solver layout (see safeRegularize)
-// and evaluates the result.
-func (a *Advisor) postProcess(r *run, solved *layout.Layout) processed {
-	start := time.Now()
-	var p processed
-	p.reg, p.polish, p.cut, p.err = a.safeRegularize(r, solved)
-	p.elapsed = time.Since(start)
-	if p.err == nil {
-		p.obj, p.err = a.safeObjective(p.reg)
-	}
-	return p
+	return m.solve(r.ctx, a.ev, a.inst, init, nopt), nil
 }
 
 // safeRegularize regularizes the solver layout and, unless SkipPolish,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -122,6 +123,15 @@ func TestAdvisorRejectsInvalidInstance(t *testing.T) {
 	inst.Targets[0].Model = nil
 	if _, err := New(inst, Options{}); err == nil {
 		t.Fatal("invalid instance accepted")
+	}
+}
+
+// TestAdvisorRejectsUnknownSolver checks that New refuses a Solver value it
+// has no solvers for, rather than running some other solver in its place.
+func TestAdvisorRejectsUnknownSolver(t *testing.T) {
+	_, err := New(layouttest.Instance(2), Options{Solver: SolverPortfolio + 1})
+	if err == nil || !strings.Contains(err.Error(), "unknown solver") {
+		t.Fatalf("New with an unknown solver: err = %v, want an unknown-solver error", err)
 	}
 }
 

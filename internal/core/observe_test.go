@@ -11,24 +11,32 @@ import (
 )
 
 // TestAdvisorPhaseSpans checks that a configured logger sees every advisor
-// phase and that the per-phase timing breakdown is populated.
+// phase, that each solve span names the solver that ran, and that the
+// per-phase timing breakdown is populated.
 func TestAdvisorPhaseSpans(t *testing.T) {
 	inst := layouttest.Instance(4)
-	var buf bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	adv, err := New(inst, Options{NLP: nlp.Options{Seed: 1}, Logger: logger})
-	if err != nil {
-		t.Fatal(err)
+	spans := func(opt Options) (string, *Recommendation) {
+		var buf bytes.Buffer
+		opt.Logger = slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
+		opt.NLP.Seed = 1
+		adv, err := New(inst, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := adv.Recommend()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), rec
 	}
-	rec, err := adv.Recommend()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out, rec := spans(Options{})
 	for _, phase := range []string{"phase=seed", "phase=solve", "phase=regularize", "phase=validate"} {
 		if !strings.Contains(out, phase) {
 			t.Fatalf("log output missing %s:\n%s", phase, out)
 		}
+	}
+	if n, want := strings.Count(out, "phase=solve"), strings.Count(out, "phase=solve solver=transfer "); n != want {
+		t.Fatalf("%d solve spans, %d naming solver=transfer:\n%s", n, want, out)
 	}
 	if rec.InitialTime <= 0 || rec.SolveTime <= 0 {
 		t.Fatalf("phase timings not recorded: initial %v solve %v", rec.InitialTime, rec.SolveTime)
@@ -38,6 +46,18 @@ func TestAdvisorPhaseSpans(t *testing.T) {
 	}
 	if len(rec.Trajectory) == 0 {
 		t.Fatal("recommendation carries no solver trajectory")
+	}
+
+	// A portfolio advise from two starts runs two rounds per start with
+	// each of its three solvers: twelve solve spans, four per solver.
+	out, _ = spans(Options{Solver: SolverPortfolio, InitialLayouts: recommendStarts(t, inst)})
+	if n := strings.Count(out, "phase=solve"); n != 12 {
+		t.Errorf("portfolio logged %d solve spans, want 12:\n%s", n, out)
+	}
+	for _, name := range []string{"transfer", "anneal", "projected-gradient"} {
+		if n := strings.Count(out, "phase=solve solver="+name+" "); n != 4 {
+			t.Errorf("portfolio logged %d solve spans for %s, want 4", n, name)
+		}
 	}
 }
 

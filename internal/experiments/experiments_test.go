@@ -248,18 +248,26 @@ func TestQuickAblation(t *testing.T) {
 		}
 	}
 	// The default variant must be at least as good (predicted) as the
-	// SEE-only start.
-	var def, seeOnly float64
+	// SEE-only start, and the portfolio, which starts from the heuristic
+	// alone, at least as good as transfer from that start.
+	var def, seeOnly, heuristicOnly, portfolio float64
 	for _, r := range rows {
 		switch r.Variant {
 		case "transfer+multistart (default)":
 			def = r.Predicted
 		case "transfer, SEE init only":
 			seeOnly = r.Predicted
+		case "transfer, heuristic init only":
+			heuristicOnly = r.Predicted
+		case "solver portfolio":
+			portfolio = r.Predicted
 		}
 	}
 	if def > seeOnly*(1+1e-9) {
 		t.Errorf("default %.4f worse than SEE-only start %.4f", def, seeOnly)
+	}
+	if portfolio > heuristicOnly {
+		t.Errorf("solver portfolio %.4f worse than transfer from the same start %.4f", portfolio, heuristicOnly)
 	}
 	if !strings.Contains(AblationTable(rows), "Variant") {
 		t.Error("AblationTable missing header")
