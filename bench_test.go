@@ -141,7 +141,8 @@ func BenchmarkFig18_SSDCapacitySweep(b *testing.B) {
 
 // BenchmarkFig19_Advisor measures advisor running time across the paper's
 // problem sizes (the quantity Fig. 19 tabulates), on synthetic instances of
-// the same shapes.
+// the same shapes. Its solve-s and regularize-s metrics are the whole
+// advise's totals over both solve/regularize rounds.
 func BenchmarkFig19_Advisor(b *testing.B) {
 	shapes := []struct{ reps, m int }{
 		{5, 4},   // N=20, M=4   (OLAP8-63 scale)

@@ -17,6 +17,11 @@
 // data) and /debug/pprof. -listen-hold keeps the endpoint up after the run
 // finishes so a scraper can collect the final state.
 //
+// The printed solver and regularization times, the -utilizations "solver
+// effort" line and the solver_*_total and advisor_*_seconds metrics count
+// the whole advise: every solver, initial layout and round. -trace-out
+// writes one line per iteration that count includes.
+//
 // The problem file is the problem document described in README "Problem
 // document": objects, targets with their cost models, per-object workloads
 // and an optional "current" layout. A target's "model" is a built-in device
@@ -196,8 +201,6 @@ func run() error {
 		reg.Counter("solver_evals_total").Add(int64(rec.SolverEvals))
 		reg.Gauge("advisor_final_objective").Set(rec.FinalObjective)
 		reg.Gauge("advisor_solver_objective").Set(rec.SolverObjective)
-		reg.Gauge("solver_restarts").Set(float64(rec.SolverRestarts))
-		reg.Gauge("solver_workers").Set(float64(rec.SolverWorkers))
 		reg.Gauge("advisor_solve_seconds").Set(rec.SolveTime.Seconds())
 		reg.Gauge("advisor_regularize_seconds").Set(rec.RegularizeTime.Seconds())
 		reg.Gauge("advisor_elapsed_seconds").Set(elapsed.Seconds())

@@ -8,6 +8,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"testing"
 
 	"dblayout"
@@ -112,6 +114,65 @@ func TestExecuteRefusesBeforeSolving(t *testing.T) {
 				t.Fatalf("exit %v, output %q; want status 1 and %q", err, out, want)
 			}
 		})
+	}
+}
+
+// TestEffortCountsWholeAdvise runs a portfolio advise, which solves from two
+// starts over two rounds with each of three solvers, with -utilizations and
+// -trace-out: the printed iteration count covers every one of those solves,
+// so it equals the number of trace lines, one per iteration.
+func TestEffortCountsWholeAdvise(t *testing.T) {
+	var model bytes.Buffer
+	if err := layouttest.DiskModel().Save(&model); err != nil {
+		t.Fatal(err)
+	}
+	disk := `"capacity_mb": 1024, "model_json": ` + model.String()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "problem.json")
+	if err := os.WriteFile(path, []byte(`{
+		"objects": [
+			{"name": "A", "size_mb": 96}, {"name": "B", "size_mb": 96},
+			{"name": "C", "size_mb": 48}, {"name": "D", "size_mb": 48}
+		],
+		"targets": [
+			{"name": "disk0", `+disk+`},
+			{"name": "disk1", `+disk+`},
+			{"name": "disk2", `+disk+`}
+		],
+		"workloads": {"workloads": [
+			{"name": "A", "read_size": 131072, "read_rate": 120, "run_count": 64},
+			{"name": "B", "read_size": 8192, "read_rate": 150, "run_count": 1},
+			{"name": "C", "read_size": 8192, "read_rate": 60, "write_size": 8192, "write_rate": 40, "run_count": 1},
+			{"name": "D", "read_size": 65536, "read_rate": 30, "run_count": 16}
+		]}
+	}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := filepath.Join(dir, "t.jsonl")
+	cmd := exec.Command(exe, "-problem", path, "-portfolio", "-utilizations", "-trace-out", trace)
+	cmd.Env = append(os.Environ(), "ADVISOR_TEST_MAIN=1")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("advisor: %v\n%s", err, out)
+	}
+	m := regexp.MustCompile(`solver effort: (\d+) iterations`).FindSubmatch(out)
+	if m == nil {
+		t.Fatalf("no effort line in output:\n%s", out)
+	}
+	iters, err := strconv.Atoi(string(m[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := bytes.Count(data, []byte("\n")); iters == 0 || lines != iters {
+		t.Fatalf("advisor printed %d iterations, -trace-out holds %d lines", iters, lines)
 	}
 }
 

@@ -87,9 +87,6 @@ type (
 	Trace = storage.Trace
 	// TraceEvent is one solver iteration observed by Options.Trace.
 	TraceEvent = nlp.TraceEvent
-	// TrajPoint is one decimated point of a Recommendation's solver
-	// objective trajectory.
-	TrajPoint = nlp.TrajPoint
 	// Degradation is the structured reason attached to a degraded
 	// recommendation or repair.
 	Degradation = core.Degradation

@@ -106,7 +106,8 @@ type Options struct {
 }
 
 // Recommendation is the advisor's output, retaining the intermediate layouts
-// the paper's Fig. 13 reports on (initial, solver, regularized).
+// the paper's Fig. 13 reports on (initial, solver, regularized) from the
+// round that produced Final, and the whole advise's running time and effort.
 type Recommendation struct {
 	// Initial is the starting layout handed to the solver.
 	Initial *layout.Layout
@@ -122,28 +123,16 @@ type Recommendation struct {
 	SolverObjective  float64
 	FinalObjective   float64
 
-	// SolveTime and RegularizeTime break down where the advisor spent
-	// its time in the winning round (paper Fig. 19). RegularizeTime
-	// includes PolishTime.
-	SolveTime      time.Duration
-	RegularizeTime time.Duration
-	// InitialTime is the time spent constructing the heuristic initial
-	// layout (zero when explicit initial layouts were supplied).
-	InitialTime time.Duration
-	// PolishTime is the share of RegularizeTime spent in the
-	// regular-to-regular polish pass.
-	PolishTime time.Duration
-	// SolverIters and SolverEvals report the winning round's solver
-	// effort. SolverEvals is nlp.Result.Evals: it counts the candidate
-	// moves the solver considered, not the kernel probes it made, so a
-	// scan that skips hopeless candidates keeps it unchanged.
-	SolverIters, SolverEvals int
-	// SolverRestarts counts the multi-start restart rounds the winning
-	// solve performed; SolverWorkers is the worker-pool width it used.
-	SolverRestarts, SolverWorkers int
-	// Trajectory is the winning solver run's bounded objective-sample
-	// series, for convergence plots (see nlp.Result.Trajectory).
-	Trajectory []nlp.TrajPoint
+	// SolveTime and RegularizeTime split the advise's running time
+	// between the solver and regularization, polish included (paper
+	// Fig. 19), and SolverIters and SolverEvals count the solver's
+	// effort. All four add up every solve and regularize of the advise:
+	// every solver, initial layout and round, not only the one that
+	// produced Final. SolverEvals adds up nlp.Result.Evals: it counts the
+	// candidate moves the solver considered, not the kernel probes it
+	// made, so a scan that skips hopeless candidates keeps it unchanged.
+	SolveTime, RegularizeTime time.Duration
+	SolverIters, SolverEvals  int
 
 	// Degraded reports that the advisor could not run the full pipeline at
 	// full fidelity — a solve was truncated by the budget or a
@@ -251,7 +240,6 @@ func (a *Advisor) RecommendContext(ctx context.Context) (*Recommendation, error)
 	r := a.newRun(ctx)
 
 	inits := a.opt.InitialLayouts
-	var seedTime time.Duration
 	if len(inits) == 0 {
 		start := time.Now()
 		init, err := layout.InitialLayout(a.inst)
@@ -266,8 +254,8 @@ func (a *Advisor) RecommendContext(ctx context.Context) (*Recommendation, error)
 			r.note("seed", "see", err)
 			init = see
 		}
-		seedTime = time.Since(start)
 		if a.opt.Logger != nil {
+			seedTime := time.Since(start)
 			obj, _ := a.safeObjective(init)
 			a.log("seed", "duration", seedTime, "objective", obj)
 		}
@@ -291,7 +279,6 @@ pipelines:
 	for _, m := range a.methods {
 		for k, init := range inits {
 			rec, err := a.recommendFrom(r, m, init, k)
-			rec.InitialTime = seedTime
 			best = better(best, rec)
 			if err != nil {
 				// Cancelled: skip every remaining pipeline.
@@ -300,6 +287,8 @@ pipelines:
 			}
 		}
 	}
+	best.SolveTime, best.RegularizeTime = r.solveTime, r.regularizeTime
+	best.SolverIters, best.SolverEvals = r.iters, r.evals
 	if r.degr != nil {
 		best.Degraded = true
 		best.Degradation = r.degr
@@ -359,7 +348,10 @@ func (a *Advisor) oneRound(r *run, m method, init *layout.Layout, startIdx, roun
 
 	start := time.Now()
 	res, err := a.safeSolve(r, m, init, startIdx, round)
-	rec.SolveTime = time.Since(start)
+	solveTime := time.Since(start)
+	r.solveTime += solveTime
+	r.iters += res.Iters
+	r.evals += res.Evals
 	if err != nil {
 		// The cost model failed inside the solver. The initial layout
 		// is valid (validated on entry), so it stands in for the
@@ -372,12 +364,7 @@ func (a *Advisor) oneRound(r *run, m method, init *layout.Layout, startIdx, roun
 	}
 	rec.Solver = res.Layout
 	rec.SolverObjective = res.Objective
-	rec.SolverIters = res.Iters
-	rec.SolverEvals = res.Evals
-	rec.SolverRestarts = res.Restarts
-	rec.SolverWorkers = res.Workers
-	rec.Trajectory = res.Trajectory
-	a.log("solve", "solver", m.name, "duration", rec.SolveTime,
+	a.log("solve", "solver", m.name, "duration", solveTime,
 		"objective", rec.SolverObjective,
 		"delta", rec.InitialObjective-rec.SolverObjective,
 		"iters", res.Iters, "evals", res.Evals)
@@ -405,8 +392,8 @@ func (a *Advisor) oneRound(r *run, m method, init *layout.Layout, startIdx, roun
 
 	start = time.Now()
 	reg, polish, cut, err := a.safeRegularize(r, res.Layout)
-	rec.RegularizeTime = time.Since(start)
-	rec.PolishTime = polish
+	regularizeTime := time.Since(start)
+	r.regularizeTime += regularizeTime
 	if cut {
 		r.note("regularize", "best-so-far", ErrBudgetExceeded)
 	}
@@ -424,7 +411,7 @@ func (a *Advisor) oneRound(r *run, m method, init *layout.Layout, startIdx, roun
 		return rec, nil
 	}
 	rec.Final = reg
-	a.log("regularize", "duration", rec.RegularizeTime, "polish", rec.PolishTime,
+	a.log("regularize", "duration", regularizeTime, "polish", polish,
 		"objective", rec.FinalObjective,
 		"delta", rec.SolverObjective-rec.FinalObjective)
 	return rec, nil

@@ -60,6 +60,11 @@ type run struct {
 	ctx      context.Context
 	deadline time.Time // zero = no solve budget
 	degr     *Degradation
+
+	// The advise's effort so far, added up over every solve and
+	// regularize of every solver, start and round.
+	solveTime, regularizeTime time.Duration
+	iters, evals              int
 }
 
 func (a *Advisor) newRun(ctx context.Context) *run {

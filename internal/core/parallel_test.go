@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -29,12 +30,16 @@ func sameLayout(a, b *layout.Layout) bool {
 }
 
 // TestAdvisorDeterministicAcrossWorkers runs the full pipeline serially and
-// with a wide worker pool and requires bit-identical recommendations: the
-// advisor inherits the nlp layer's determinism contract end to end.
+// with a wide worker pool and requires bit-identical recommendations and
+// trace streams: the advisor inherits the nlp layer's determinism contract
+// end to end. The streams' restart tags show that the advisor hands
+// NLP.Restarts to the solver.
 func TestAdvisorDeterministicAcrossWorkers(t *testing.T) {
 	inst := layouttest.Instance(4)
-	run := func(workers int) *Recommendation {
-		adv, err := New(inst, Options{NLP: nlp.Options{Seed: 5, Restarts: 4, Workers: workers}})
+	run := func(workers int) (*Recommendation, []nlp.TraceEvent) {
+		var events []nlp.TraceEvent
+		adv, err := New(inst, Options{NLP: nlp.Options{Seed: 5, Restarts: 4, Workers: workers,
+			Trace: func(e nlp.TraceEvent) { events = append(events, e) }}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,9 +47,10 @@ func TestAdvisorDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rec
+		return rec, events
 	}
-	serial, wide := run(1), run(8)
+	serial, serialEvents := run(1)
+	wide, wideEvents := run(8)
 	if !sameLayout(serial.Final, wide.Final) {
 		t.Error("final layouts differ between workers=1 and workers=8")
 	}
@@ -55,8 +61,17 @@ func TestAdvisorDeterministicAcrossWorkers(t *testing.T) {
 		t.Errorf("solver effort differs: serial %d/%d, parallel %d/%d",
 			serial.SolverIters, serial.SolverEvals, wide.SolverIters, wide.SolverEvals)
 	}
-	if serial.SolverRestarts != 4 || wide.SolverRestarts != 4 {
-		t.Errorf("SolverRestarts = %d (serial), %d (parallel), want 4", serial.SolverRestarts, wide.SolverRestarts)
+	if !reflect.DeepEqual(serialEvents, wideEvents) {
+		t.Errorf("trace streams differ between worker counts (%d vs %d events)", len(serialEvents), len(wideEvents))
+	}
+	last := 0
+	for _, e := range serialEvents {
+		if e.Restart > last {
+			last = e.Restart
+		}
+	}
+	if last != 4 {
+		t.Errorf("last restart round traced is %d, want 4", last)
 	}
 }
 

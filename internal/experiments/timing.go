@@ -13,7 +13,9 @@ import (
 )
 
 // TimingRow is one problem-size point of paper Fig. 19: advisor running time
-// split into solver and regularization.
+// split into solver and regularization. Each row is one whole advise, two
+// starts with two solve/regularize rounds each, and Solve and Regular add
+// up all four rounds.
 type TimingRow struct {
 	Workload string
 	N, M     int

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"time"
 
 	"dblayout/internal/layout"
 	"dblayout/internal/seed"
@@ -38,48 +37,24 @@ const (
 // as context.Background().
 func Anneal(ctx context.Context, ev *layout.Evaluator, inst *layout.Instance, init *layout.Layout, opt Options) Result {
 	opt = opt.withDefaults()
-	start := time.Now()
-	deadline := budgetDeadline(opt.Budget)
-	lim := newLimiterAt(ctx, deadline).every(64)
-
-	s := newTransferState(ev, inst, init.Clone())
-	tk := newTracker("anneal", opt.Trace, s.objective())
-	rng := rand.New(rand.NewSource(seed.Sub(opt.Seed, seed.StreamAnneal, 0)))
-	res := Result{Workers: opt.workers()}
-	best, bestObj := annealChain(s, rng, opt, tk, lim, 0, &res)
-	res.Evals = s.evals
-	res.Stop = lim.stopped
-
-	var outs []restartOutcome
-	if lim.stopped == nil {
-		outs = runRestarts(ctx, deadline, opt, func(r int, rlim *limiter) restartOutcome {
-			rlim.every(64)
-			rng := rand.New(rand.NewSource(seed.Sub(opt.Seed, seed.StreamAnneal, int64(r))))
-			rs := newTransferState(ev, inst, init.Clone())
-			rs.perturb(rng, opt)
-			rtk := newRestartTracker("anneal", rs.objective(), opt.Trace != nil)
-			var rr Result
-			bl, bo := annealChain(rs, rng, opt, rtk, rlim, r, &rr)
-			return restartOutcome{
-				layout: bl, obj: bo,
-				iters: rr.Iters, evals: rs.evals,
-				tk: rtk, stop: rlim.stopped,
-			}
-		})
+	first := func(tk *tracker, lim *limiter) (*layout.Layout, float64, int) {
+		s := newTransferState(ev, inst, init.Clone())
+		tk.best = s.objective()
+		return s.anneal(rand.New(rand.NewSource(seed.Sub(opt.Seed, seed.StreamAnneal, 0))), opt, tk, lim)
 	}
-	best, bestObj = mergeOutcomes(&res, tk, outs, best, bestObj, lim.stopped)
-
-	res.Layout = best
-	res.Objective = bestObj
-	res.Elapsed = time.Since(start)
-	tk.finish(&res)
-	return res
+	restart := func(r int, _ *layout.Layout, tk *tracker, lim *limiter) (*layout.Layout, float64, int) {
+		rng := rand.New(rand.NewSource(seed.Sub(opt.Seed, seed.StreamAnneal, int64(r))))
+		s := newTransferState(ev, inst, init.Clone())
+		s.perturb(rng, opt)
+		return s.anneal(rng, opt, tk, lim)
+	}
+	return multiStart(ctx, "anneal", opt, 64, first, restart)
 }
 
-// annealChain runs one full annealing schedule on s, recording iterations on
-// tk (tagged with the restart index) and effort on res. It returns the best
-// layout the chain visited and its objective.
-func annealChain(s *transferState, rng *rand.Rand, opt Options, tk *tracker, lim *limiter, restart int, res *Result) (*layout.Layout, float64) {
+// anneal runs one full annealing schedule on s, noting its iterations on tk.
+// It returns the best layout the chain visited, that layout's objective and
+// the evaluations the state has spent.
+func (s *transferState) anneal(rng *rand.Rand, opt Options, tk *tracker, lim *limiter) (*layout.Layout, float64, int) {
 	cur := s.objective()
 	best := s.l.Clone()
 	bestObj := cur
@@ -95,7 +70,6 @@ func annealChain(s *transferState, rng *rand.Rand, opt Options, tk *tracker, lim
 			continue
 		}
 		obj, _ := s.tryMove(m)
-		res.Iters++
 		delta := obj - cur
 		accepted := delta <= 0 || (temp > 0 && rng.Float64() < math.Exp(-delta/temp))
 		if accepted {
@@ -106,10 +80,10 @@ func annealChain(s *transferState, rng *rand.Rand, opt Options, tk *tracker, lim
 				best = s.l.Clone()
 			}
 		}
-		tk.note(restart, cur, accepted, temp, s.evals)
+		tk.note(cur, accepted, temp, s.evals)
 		temp *= annealCooling
 	}
-	return best, bestObj
+	return best, bestObj, s.evals
 }
 
 // randomMove proposes a feasible random transfer of part of a random

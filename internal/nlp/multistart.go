@@ -31,12 +31,52 @@ import (
 // only the weaker guarantee that the result is the best of the restarts
 // that ran.
 
+// multiStart runs a solver as the multi-start iteration of the paper's
+// Fig. 4. The first search runs on the calling goroutine; then restart runs
+// rounds r = 1..opt.Restarts on the worker pool, each handed the first
+// search's layout as from. Each search notes its iterations on tk, polls lim
+// and returns the best layout it found, that layout's objective and the
+// evaluations it spent (as Result.Evals counts them). The lowest objective
+// wins, ties to the earlier round. Every limiter shares one deadline and
+// reads the clock at most every poll'th call (see limiter.every). The
+// result's effort counts every round, and its Stop classifies every round's
+// stop.
+func multiStart(ctx context.Context, solver string, opt Options, poll int,
+	first func(tk *tracker, lim *limiter) (*layout.Layout, float64, int),
+	restart func(r int, from *layout.Layout, tk *tracker, lim *limiter) (*layout.Layout, float64, int)) Result {
+	deadline := budgetDeadline(opt.Budget)
+	lim := newLimiterAt(ctx, deadline).every(poll)
+	tk := &tracker{solver: solver, trace: opt.Trace}
+	var res Result
+	res.Layout, res.Objective, res.Evals = first(tk, lim)
+	stops := []error{lim.stopped}
+	if lim.stopped == nil {
+		from := res.Layout
+		outs := runRestarts(ctx, deadline, opt, func(r int, rlim *limiter) restartOutcome {
+			rtk := &tracker{solver: solver, restart: r, buffer: opt.Trace != nil}
+			l, obj, evals := restart(r, from, rtk, rlim.every(poll))
+			return restartOutcome{layout: l, obj: obj, evals: evals, tk: rtk, stop: rlim.stopped}
+		})
+		for _, out := range outs {
+			tk.merge(out.tk, res.Evals)
+			res.Evals += out.evals
+			res.Restarts++
+			stops = append(stops, out.stop)
+			if out.obj < res.Objective {
+				res.Layout, res.Objective = out.layout, out.obj
+			}
+		}
+	}
+	res.Iters = tk.iter
+	res.Stop = combineStop(stops)
+	return res
+}
+
 // restartOutcome is the result of one restart's independent search.
 type restartOutcome struct {
 	restart int
 	layout  *layout.Layout
 	obj     float64
-	iters   int
 	evals   int
 	tk      *tracker
 	stop    error
@@ -136,28 +176,6 @@ func runOne(one func(r int, lim *limiter) restartOutcome, r int, lim *limiter) (
 	out = one(r, lim)
 	out.restart = r
 	return out, nil
-}
-
-// mergeOutcomes folds restart outcomes (already sorted by restart index)
-// into the main tracker and result: trace/trajectory merging, effort
-// accounting, deterministic best selection (strictly lower objective wins,
-// so ties keep the earliest restart), and stop classification.
-func mergeOutcomes(res *Result, tk *tracker, outs []restartOutcome, best *layout.Layout, bestObj float64, firstStop error) (*layout.Layout, float64) {
-	tk.evals = res.Evals // restart evaluation counts continue after phase 0's
-	stops := []error{firstStop}
-	for _, out := range outs {
-		tk.merge(out.tk, out.evals)
-		res.Evals += out.evals
-		res.Restarts++
-		stops = append(stops, out.stop)
-		if out.obj < bestObj {
-			bestObj = out.obj
-			best = out.layout
-		}
-	}
-	res.Iters = tk.iter
-	res.Stop = combineStop(stops)
-	return best, bestObj
 }
 
 // combineStop merges the stop reasons of concurrent workers into one

@@ -62,14 +62,6 @@ func TestSolversDeterministicAcrossWorkers(t *testing.T) {
 				c.name, len(serialEvents), len(wideEvents))
 		}
 		checkTrace(t, wideEvents)
-		if serial.Workers != 1 {
-			t.Errorf("%s: Result.Workers = %d for a serial solve", c.name, serial.Workers)
-		}
-		if wide.Workers < 2 && testing.Short() == false {
-			// min(Restarts+1, GOMAXPROCS) clamp: on a single-CPU machine
-			// the pool legitimately resolves to one worker.
-			t.Logf("%s: parallel solve resolved to %d workers (single-CPU machine?)", c.name, wide.Workers)
-		}
 	}
 }
 

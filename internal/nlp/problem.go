@@ -172,7 +172,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result reports a solver outcome.
+// Result reports a solver outcome. Its effort counters cover the whole
+// multi-start solve: the first search and every restart round.
 type Result struct {
 	Layout    *layout.Layout
 	Objective float64 // max target utilization of Layout
@@ -189,20 +190,11 @@ type Result struct {
 	// first search. It equals Options.Restarts unless a budget or
 	// cancellation cut the multi-start short.
 	Restarts int
-	// Workers is the resolved worker-pool width the solve used.
-	Workers int
-
-	// Elapsed is the solver's wall-clock search time.
-	Elapsed time.Duration
 	// Stop classifies why the search ended: nil for normal convergence or
 	// iteration-budget exhaustion, ErrBudgetExceeded when Options.Budget
 	// ran out, or the context's error when the caller cancelled. In every
 	// case Layout holds the best valid layout found before stopping.
 	Stop error
-	// Trajectory samples the objective over the run at a bounded
-	// reservoir of iterations (at most maxTrajPoints entries, spread over
-	// the whole run), for convergence plots and regression triage.
-	Trajectory []TrajPoint
 }
 
 // maxOf returns the maximum value and its index.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"time"
 
 	"dblayout/internal/layout"
 	"dblayout/internal/seed"
@@ -30,67 +29,43 @@ import (
 // as context.Background().
 func ProjectedGradient(ctx context.Context, ev *layout.Evaluator, inst *layout.Instance, init *layout.Layout, opt Options) Result {
 	opt = opt.withDefaults()
-	start := time.Now()
-	deadline := budgetDeadline(opt.Budget)
-	lim := newLimiterAt(ctx, deadline)
-
-	l := init.Clone()
-	utils := ev.Utilizations(l)
-	_, cur := maxOf(utils)
-	tk := newTracker("projected-gradient", opt.Trace, cur)
-	res := Result{Workers: opt.workers()}
-
-	best, bestObj, iters, evals := gradientDescend(ev, inst, l, utils, cur, opt, tk, lim, 0)
-	res.Iters = iters
-	res.Evals = evals + l.M
-	res.Stop = lim.stopped
-
-	var outs []restartOutcome
-	if lim.stopped == nil {
-		outs = runRestarts(ctx, deadline, opt, func(r int, rlim *limiter) restartOutcome {
-			rng := rand.New(rand.NewSource(seed.Sub(opt.Seed, seed.StreamProjGrad, int64(r))))
-			rs := newTransferState(ev, inst, init.Clone())
-			rs.perturb(rng, opt)
-			_, rcur := maxOf(rs.utils)
-			rtk := newRestartTracker("projected-gradient", rcur, opt.Trace != nil)
-			rutils := append([]float64(nil), rs.utils...)
-			lay, obj, it, ev2 := gradientDescend(ev, inst, rs.l, rutils, rcur, opt, rtk, rlim, r)
-			return restartOutcome{
-				layout: lay, obj: obj,
-				iters: it, evals: ev2 + rs.evals,
-				tk: rtk, stop: rlim.stopped,
-			}
-		})
+	first := func(tk *tracker, lim *limiter) (*layout.Layout, float64, int) {
+		l := init.Clone()
+		_, cur := maxOf(ev.Utilizations(l))
+		tk.best = cur
+		best, obj, evals := gradientDescend(ev, inst, l, cur, opt, tk, lim)
+		return best, obj, evals + l.M
 	}
-	best, bestObj = mergeOutcomes(&res, tk, outs, best, bestObj, lim.stopped)
-
-	res.Layout = best
-	res.Objective = bestObj
-	res.Elapsed = time.Since(start)
-	tk.finish(&res)
-	return res
+	restart := func(r int, _ *layout.Layout, tk *tracker, lim *limiter) (*layout.Layout, float64, int) {
+		rng := rand.New(rand.NewSource(seed.Sub(opt.Seed, seed.StreamProjGrad, int64(r))))
+		s := newTransferState(ev, inst, init.Clone())
+		s.perturb(rng, opt)
+		best, obj, evals := gradientDescend(ev, inst, s.l, s.objective(), opt, tk, lim)
+		return best, obj, evals + s.evals
+	}
+	return multiStart(ctx, "projected-gradient", opt, 1, first, restart)
 }
 
 // gradientDescend runs the projected-gradient descent from l (whose current
-// utilizations and max the caller supplies) until convergence, the iteration
+// max utilization the caller supplies) until convergence, the iteration
 // bound, or a limiter stop. It owns l and returns the final layout, its
-// objective, and the iteration/evaluation effort spent.
+// objective, and the evaluations spent.
 //
 // Every finite-difference probe is an O(active objects) delta-score on the
 // incremental kernel; the kernel is rebuilt whenever the line search accepts
 // a new layout (one rebuild per accepted step versus N*M probes per
 // gradient).
-func gradientDescend(ev *layout.Evaluator, inst *layout.Instance, l *layout.Layout, utils []float64, cur float64, opt Options, tk *tracker, lim *limiter, restart int) (*layout.Layout, float64, int, int) {
+func gradientDescend(ev *layout.Evaluator, inst *layout.Instance, l *layout.Layout, cur float64, opt Options, tk *tracker, lim *limiter) (*layout.Layout, float64, int) {
 	sizes := inst.Sizes()
 	caps := inst.Capacities()
 	step := 0.25
 	const h = 1e-4
-	iters, evals := 0, 0
+	evals := 0
 
 	inc := ev.NewIncremental(l)
-	// Align the probe baseline with the kernel's summation order so finite
-	// differences subtract like from like.
-	utils = inc.Utilizations(utils[:0])
+	// Take the probe baseline from the kernel, in its summation order, so
+	// finite differences subtract like from like.
+	utils := inc.Utilizations(nil)
 
 	for iter := 0; iter < opt.MaxIters; iter++ {
 		if lim.stop() != nil {
@@ -165,13 +140,12 @@ func gradientDescend(ev *layout.Evaluator, inst *layout.Instance, l *layout.Layo
 			}
 			step /= 2
 		}
-		iters++
-		tk.note(restart, cur, improved, 0, evals)
+		tk.note(cur, improved, 0, evals)
 		if !improved || step < 1e-6 {
 			break
 		}
 	}
-	return l, cur, iters, evals
+	return l, cur, evals
 }
 
 // repairCapacity rescales assignments so no target is over capacity,

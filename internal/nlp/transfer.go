@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"sort"
-	"time"
 
 	"dblayout/internal/layout"
 	"dblayout/internal/seed"
@@ -31,44 +30,18 @@ import (
 // context.Background().
 func TransferSearch(ctx context.Context, ev *layout.Evaluator, inst *layout.Instance, init *layout.Layout, opt Options) Result {
 	opt = opt.withDefaults()
-	start := time.Now()
-	deadline := budgetDeadline(opt.Budget)
-	lim := newLimiterAt(ctx, deadline)
-
-	s := newTransferState(ev, inst, init.Clone())
-	tk := newTracker("transfer", opt.Trace, s.objective())
-	res := Result{Workers: opt.workers()}
-	s.descend(&res, opt, tk, lim, 0)
-
-	base := s.l.Clone()
-	_, bestObj := maxOf(s.utils)
-	best := base
-	res.Stop = lim.stopped
-
-	var outs []restartOutcome
-	if lim.stopped == nil {
-		outs = runRestarts(ctx, deadline, opt, func(r int, rlim *limiter) restartOutcome {
-			rng := rand.New(rand.NewSource(seed.Sub(opt.Seed, seed.StreamTransfer, int64(r))))
-			rs := newTransferState(ev, inst, base.Clone())
-			rtk := newRestartTracker("transfer", rs.objective(), opt.Trace != nil)
-			rs.perturb(rng, opt)
-			var rr Result
-			rs.descend(&rr, opt, rtk, rlim, r)
-			_, obj := maxOf(rs.utils)
-			return restartOutcome{
-				layout: rs.l.Clone(), obj: obj,
-				iters: rr.Iters, evals: rs.evals,
-				tk: rtk, stop: rlim.stopped,
-			}
-		})
+	first := func(tk *tracker, lim *limiter) (*layout.Layout, float64, int) {
+		s := newTransferState(ev, inst, init.Clone())
+		tk.best = s.objective()
+		return s.descend(opt, tk, lim)
 	}
-	best, bestObj = mergeOutcomes(&res, tk, outs, best, bestObj, lim.stopped)
-
-	res.Layout = best
-	res.Objective = bestObj
-	res.Elapsed = time.Since(start)
-	tk.finish(&res)
-	return res
+	restart := func(r int, from *layout.Layout, tk *tracker, lim *limiter) (*layout.Layout, float64, int) {
+		rng := rand.New(rand.NewSource(seed.Sub(opt.Seed, seed.StreamTransfer, int64(r))))
+		s := newTransferState(ev, inst, from.Clone())
+		s.perturb(rng, opt)
+		return s.descend(opt, tk, lim)
+	}
+	return multiStart(ctx, "transfer", opt, 1, first, restart)
 }
 
 // transferState caches per-target utilizations and assigned bytes for the
@@ -197,8 +170,9 @@ func (s *transferState) fits(obj, to int, delta float64) bool {
 }
 
 // descend performs greedy improvement until convergence, cancellation, or
-// exhaustion of the iteration budget.
-func (s *transferState) descend(res *Result, opt Options, tk *tracker, lim *limiter, restart int) {
+// exhaustion of the iteration budget, and returns the layout it reached, its
+// objective and the evaluations the state has spent.
+func (s *transferState) descend(opt Options, tk *tracker, lim *limiter) (*layout.Layout, float64, int) {
 	stall := 0
 	for iter := 0; iter < opt.MaxIters; iter++ {
 		if lim.stop() != nil {
@@ -210,8 +184,7 @@ func (s *transferState) descend(res *Result, opt Options, tk *tracker, lim *limi
 			break
 		}
 		s.apply(best)
-		res.Iters++
-		tk.note(restart, s.objective(), true, 0, s.evals)
+		tk.note(s.objective(), true, 0, s.evals)
 		// Tie-breaker (sum-only) improvements are allowed to run for a
 		// while to escape plateaus, but must eventually pay off on the
 		// primary objective.
@@ -224,7 +197,7 @@ func (s *transferState) descend(res *Result, opt Options, tk *tracker, lim *limi
 			stall = 0
 		}
 	}
-	res.Evals = s.evals
+	return s.l.Clone(), s.objective(), s.evals
 }
 
 // moveScan accumulates the lexicographically best improving move found by a

@@ -14,7 +14,8 @@ import (
 
 // TestRecommendTraceJSONL streams the solver trace through the JSONL writer
 // (exactly what the advisor command's -trace-out flag does) and checks every
-// line parses back into a TraceEvent.
+// line parses back into a TraceEvent, one line per iteration the
+// recommendation counts.
 func TestRecommendTraceJSONL(t *testing.T) {
 	p := testProblem()
 	var buf bytes.Buffer
@@ -53,8 +54,8 @@ func TestRecommendTraceJSONL(t *testing.T) {
 	if last.Best <= 0 {
 		t.Fatalf("final trace best %g not positive", last.Best)
 	}
-	if len(rec.Trajectory) == 0 {
-		t.Fatal("recommendation has no trajectory")
+	if lines != rec.SolverIters {
+		t.Fatalf("%d trace lines for %d solver iterations", lines, rec.SolverIters)
 	}
 }
 
