@@ -462,19 +462,7 @@ func (c *Controller) readvise(fit rubicon.WindowFit, reason string) error {
 		c.skip(fit, reason, gain, "advised layout equals current")
 		return nil
 	}
-	// Scratch selection sees failed targets as capacity zero: after an
-	// evacuation the failed device has the most free space of all, and
-	// AutoScratch must never stage data onto it.
-	scratchCaps := caps
-	if failed := c.j.Failed(); len(failed) > 0 {
-		scratchCaps = append([]int64(nil), caps...)
-		for _, j := range failed {
-			if j >= 0 && j < len(scratchCaps) {
-				scratchCaps[j] = 0
-			}
-		}
-	}
-	scratch := migrate.AutoScratch(c.current, target, sizes, scratchCaps)
+	scratch := migrate.AutoScratch(c.current, target, sizes, caps, c.j.Failed()...)
 	steps, err := migrate.BuildScript(c.current, plan, sizes, caps, scratch)
 	if err != nil {
 		return c.retryFailure(fit, "plan", err)

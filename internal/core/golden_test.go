@@ -49,6 +49,8 @@ func constrainedReplicated() *layout.Instance {
 // moves them changes what every caller gets. The heuristic+SEE case is
 // dblayout.Recommend's default multi-start, two rounds from each start; the
 // portfolio runs it once per solver and, on a tie, keeps transfer's layout.
+// The polished fleet case pins PolishRegular where candidate widths are
+// capped; it takes seconds, so -short skips it.
 // The values were recorded on amd64, where Go never fuses a multiply and an
 // add; other architectures may, so they skip.
 func TestRecommendGolden(t *testing.T) {
@@ -61,6 +63,8 @@ func TestRecommendGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	starts := []*layout.Layout{heuristic, layout.SEE(r104.N(), r104.M())}
+	fleetPolish := fleetOptions()
+	fleetPolish.SkipPolish = false
 	for _, c := range []struct {
 		name    string
 		inst    *layout.Instance
@@ -68,21 +72,27 @@ func TestRecommendGolden(t *testing.T) {
 		objBits uint64
 		evals   int
 		hash    uint64
+		long    bool // skipped under -short
 	}{
 		{"Replicated(10,4)", layouttest.Replicated(10, 4), Options{NLP: nlp.Options{Seed: 1}},
-			0x401318c7e28240b7, 31148, 0x94a150b5e4ca6ee},
+			0x401318c7e28240b7, 31148, 0x94a150b5e4ca6ee, false},
 		{"Replicated(10,10)", layouttest.Replicated(10, 10), Options{NLP: nlp.Options{Seed: 1}},
-			0x3ffe95dc6660687c, 279356, 0x74e41666a35c5f05},
+			0x3ffe95dc6660687c, 279356, 0x74e41666a35c5f05, false},
 		{"Fleet(1024,256)", layouttest.Fleet(1024, 256), fleetOptions(),
-			0x3ff1a5e3fe2deb4e, 15338, 0xe43f866981068ecf},
+			0x3ff1a5e3fe2deb4e, 15338, 0xe43f866981068ecf, false},
+		{"Fleet(1024,256) polished", layouttest.Fleet(1024, 256), fleetPolish,
+			0x3ff1a5e3fe2deb4e, 15338, 0x190403908dac2d4b, true},
 		{"Replicated(10,4) heuristic+SEE", r104, Options{NLP: nlp.Options{Seed: 1}, InitialLayouts: starts},
-			0x4012f5b45c4be99b, 227432, 0x940830cb8307f538},
+			0x4012f5b45c4be99b, 227432, 0x940830cb8307f538, false},
 		{"portfolio Replicated(10,4) heuristic+SEE", r104, Options{Solver: SolverPortfolio, NLP: nlp.Options{Seed: 1}, InitialLayouts: starts},
-			0x4012f5b45c4be99b, 382978, 0x940830cb8307f538},
+			0x4012f5b45c4be99b, 382978, 0x940830cb8307f538, false},
 		{"constrained Replicated(6,6)", constrainedReplicated(), Options{NLP: nlp.Options{Seed: 1}},
-			0x3fff0189374bc6a8, 21296, 0xc479368dd2d60fae},
+			0x3fff0189374bc6a8, 21296, 0xc479368dd2d60fae, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			if c.long && testing.Short() {
+				t.Skip("a polished fleet advise takes seconds")
+			}
 			adv, err := New(c.inst, c.opt)
 			if err != nil {
 				t.Fatal(err)

@@ -153,9 +153,6 @@ func TestMigrationPlanRoundTrip(t *testing.T) {
 	if layout.PlanBytes(plan) <= 0 {
 		t.Fatal("plan moves no bytes")
 	}
-	if s := layout.FormatPlan(inst, plan); s == "" {
-		t.Fatal("empty plan rendering")
-	}
 	// Identity migration: empty plan.
 	empty, err := layout.MigrationPlan(from, from, inst.Sizes())
 	if err != nil {

@@ -39,6 +39,7 @@ func PolishRegular(ev *layout.Evaluator, inst *layout.Instance, l *layout.Layout
 		maxWidth = regularizeMaxWidth
 	}
 	rp := newRowPricer(inc, maxWidth)
+	bytes := targetBytes(cur, sizes)
 
 	const maxPasses = 8
 	for pass := 0; pass < maxPasses; pass++ {
@@ -58,7 +59,7 @@ func PolishRegular(ev *layout.Evaluator, inst *layout.Instance, l *layout.Layout
 			bestMax, bestSum := curObj, curSum
 			var bestRow []float64
 			for _, cand := range candidates {
-				if sameRow(cand, oldRow) || !capacityOK(cur, i, cand, sizes, caps) ||
+				if sameRow(cand, oldRow) || !capacityOK(cur, i, cand, sizes, caps, bytes) ||
 					!constraintsOK(inst, cur, i, cand) {
 					continue
 				}
@@ -76,6 +77,7 @@ func PolishRegular(ev *layout.Evaluator, inst *layout.Instance, l *layout.Layout
 			if bestRow != nil {
 				inc.SetObjectRow(i, bestRow)
 				utils = inc.Utilizations(utils[:0])
+				refreshBytes(bytes, cur, oldRow, bestRow, sizes)
 				improved = true
 			}
 		}

@@ -40,6 +40,22 @@ func refSum(utils []float64) float64 {
 	return s
 }
 
+// refCapacityOK is capacityOK summing each target's bytes afresh for every
+// candidate instead of reading a cache.
+func refCapacityOK(l *layout.Layout, i int, cand []float64, sizes, caps []int64) bool {
+	size := float64(sizes[i])
+	for j := range cand {
+		delta := (cand[j] - l.At(i, j)) * size
+		if delta <= 0 {
+			continue
+		}
+		if l.TargetBytes(j, sizes)+delta > float64(caps[j])*(1+1e-12) {
+			return false
+		}
+	}
+	return true
+}
+
 // refPolish is the reference polish pass PolishRegular must agree with: it
 // prices every candidate row in full with refEvalCandidate.
 func refPolish(ev *layout.Evaluator, inst *layout.Instance, l *layout.Layout) *layout.Layout {
@@ -60,7 +76,7 @@ func refPolish(ev *layout.Evaluator, inst *layout.Instance, l *layout.Layout) *l
 			bestMax, bestSum := curObj, curSum
 			var bestRow, bestUtils []float64
 			for _, cand := range candidates {
-				if sameRow(cand, oldRow) || !capacityOK(cur, i, cand, sizes, caps) ||
+				if sameRow(cand, oldRow) || !refCapacityOK(cur, i, cand, sizes, caps) ||
 					!constraintsOK(inst, cur, i, cand) {
 					continue
 				}
@@ -111,7 +127,7 @@ func refRegularize(ev *layout.Evaluator, inst *layout.Instance, solved *layout.L
 		bestObj := -1.0
 		var bestRow, bestUtils []float64
 		for _, cand := range candidates {
-			if !capacityOK(l, i, cand, sizes, caps) || !constraintsOK(inst, l, i, cand) {
+			if !refCapacityOK(l, i, cand, sizes, caps) || !constraintsOK(inst, l, i, cand) {
 				continue
 			}
 			newUtils, obj := refEvalCandidate(inc, utils, i, oldRow, cand)

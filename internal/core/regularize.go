@@ -61,6 +61,7 @@ func Regularize(ev *layout.Evaluator, inst *layout.Instance, solved *layout.Layo
 	inc := ev.NewIncremental(l)
 	utils := inc.Utilizations(nil)
 	rp := newRowPricer(inc, maxWidth)
+	bytes := targetBytes(l, sizes)
 
 	for _, i := range order {
 		if l.RowRegular(i) {
@@ -76,7 +77,7 @@ func Regularize(ev *layout.Evaluator, inst *layout.Instance, solved *layout.Layo
 		bestObj := math.Inf(1)
 		var bestRow []float64
 		for _, cand := range candidates {
-			if !capacityOK(l, i, cand, sizes, caps) || !constraintsOK(inst, l, i, cand) {
+			if !capacityOK(l, i, cand, sizes, caps, bytes) || !constraintsOK(inst, l, i, cand) {
 				continue
 			}
 			if obj, ok := rp.price(utils, oldRow, cand, bestObj); ok {
@@ -90,6 +91,7 @@ func Regularize(ev *layout.Evaluator, inst *layout.Instance, solved *layout.Layo
 		}
 		inc.SetObjectRow(i, bestRow)
 		utils = inc.Utilizations(utils[:0])
+		refreshBytes(bytes, l, oldRow, bestRow, sizes)
 	}
 	if !l.IsRegular() {
 		return nil, fmt.Errorf("internal error: result not regular")
@@ -171,19 +173,40 @@ func constraintsOK(inst *layout.Instance, l *layout.Layout, i int, cand []float6
 }
 
 // capacityOK checks whether replacing object i's row with cand keeps every
-// target within capacity.
-func capacityOK(l *layout.Layout, i int, cand []float64, sizes, caps []int64) bool {
+// target within capacity, given each target's bytes under l.
+func capacityOK(l *layout.Layout, i int, cand []float64, sizes, caps []int64, bytes []float64) bool {
 	size := float64(sizes[i])
 	for j := range cand {
 		delta := (cand[j] - l.At(i, j)) * size
 		if delta <= 0 {
 			continue
 		}
-		if l.TargetBytes(j, sizes)+delta > float64(caps[j])*(1+1e-12) {
+		if bytes[j]+delta > float64(caps[j])*(1+1e-12) {
 			return false
 		}
 	}
 	return true
+}
+
+// targetBytes returns each target's bytes under l: the O(N) column sums
+// capacityOK would otherwise redo for every candidate.
+func targetBytes(l *layout.Layout, sizes []int64) []float64 {
+	bytes := make([]float64, l.M)
+	for j := range bytes {
+		bytes[j] = l.TargetBytes(j, sizes)
+	}
+	return bytes
+}
+
+// refreshBytes re-sums the targets whose cell changed when an object's row
+// went from oldRow to newRow, with the same sum in the same order, so the
+// cache keeps the bits a fresh targetBytes would give.
+func refreshBytes(bytes []float64, l *layout.Layout, oldRow, newRow []float64, sizes []int64) {
+	for j, f := range newRow {
+		if f != oldRow[j] {
+			bytes[j] = l.TargetBytes(j, sizes)
+		}
+	}
 }
 
 // rowPricer prices candidate rows of one object against an incremental

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -35,16 +34,10 @@ type Repair struct {
 	// Plan is the migration plan from the pre-failure layout to Layout,
 	// and PlanBytes the data volume it moves. Failed targets appear as
 	// move sources: executing such moves means reconstructing that data
-	// from redundancy or backup rather than reading it.
+	// from redundancy or backup rather than reading it. The moves are in
+	// object order; package migrate's BuildScript schedules them.
 	Plan      []layout.Move
 	PlanBytes int64
-	// PlanOrdered is Plan in a capacity-safe execution order (see
-	// layout.OrderPlan); executors should run this order. It is nil when
-	// no safe order exists without scratch-space staging, in which case
-	// PlanNeedsStaging is set and package migrate's BuildScript must
-	// stage the plan through a scratch reservation.
-	PlanOrdered      []layout.Move
-	PlanNeedsStaging bool
 	// SolveTime is the wall-clock time spent re-solving.
 	SolveTime time.Duration
 	// Degraded and Degradation mirror Recommendation: when set, Layout is
@@ -214,14 +207,6 @@ func RecommendRepair(ctx context.Context, inst *layout.Instance, current *layout
 		return nil, err
 	}
 	rep.PlanBytes = layout.PlanBytes(rep.Plan)
-	rep.PlanOrdered, err = layout.OrderPlan(current, rep.Plan, rinst.Sizes(), rinst.Capacities())
-	if err != nil {
-		var cyc *layout.CycleError
-		if !errors.As(err, &cyc) {
-			return nil, err
-		}
-		rep.PlanNeedsStaging = true
-	}
 	return rep, ctxErr
 }
 

@@ -194,9 +194,8 @@ func Migration(cfg *Config) (*MigrationResult, error) {
 
 	// Replan around the dead disk and evacuate it in reconstruction mode.
 	start := time.Now()
-	rep, _, err := migrate.Replan(context.Background(), inst, m,
-		core.Options{NLP: nlp.Options{Seed: cfg.Seed, Trace: cfg.Trace, Workers: cfg.Workers}, Logger: cfg.Logger},
-		repairScratch(m.Layout, sizes, capacities, m.FailedTargets))
+	rep, err := core.RecommendRepair(context.Background(), inst, m.Layout, m.FailedTargets,
+		core.Options{NLP: nlp.Options{Seed: cfg.Seed, Trace: cfg.Trace, Workers: cfg.Workers}, Logger: cfg.Logger})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: migration replan: %w", err)
 	}
@@ -218,7 +217,7 @@ func Migration(cfg *Config) (*MigrationResult, error) {
 	rres, err := migrate.Execute(rsys, m.Layout, rep.Layout, nil,
 		replay.Options{Seed: cfg.Seed, Logger: cfg.Logger},
 		migrate.Options{
-			Scratch:       repairScratch(m.Layout, sizes, capacities, m.FailedTargets),
+			Scratch:       migrate.AutoScratch(m.Layout, rep.Layout, sizes, capacities, m.FailedTargets...),
 			Journal:       &rjournal,
 			FailedSources: m.FailedTargets,
 			MapperLayout:  mapper,
@@ -232,29 +231,6 @@ func Migration(cfg *Config) (*MigrationResult, error) {
 	out.ReconstructedMiB = float64(rres.Migration.ReconstructedBytes) / (1 << 20)
 	out.RepairElapsed = rres.Migration.Elapsed
 	return out, nil
-}
-
-// repairScratch picks a scratch reservation for an evacuation like
-// migrate.AutoScratch, but never on a failed target: half the largest
-// headroom under the current layout among the survivors.
-func repairScratch(current *layout.Layout, sizes, capacities []int64, failed []int) migrate.ScratchSpec {
-	dead := make(map[int]bool, len(failed))
-	for _, j := range failed {
-		dead[j] = true
-	}
-	best, bestBytes := -1, int64(0)
-	for j := 0; j < len(capacities); j++ {
-		if dead[j] {
-			continue
-		}
-		if b := int64(float64(capacities[j]) - current.TargetBytes(j, sizes)); b > bestBytes {
-			best, bestBytes = j, b
-		}
-	}
-	if best < 0 {
-		return migrate.ScratchSpec{}
-	}
-	return migrate.ScratchSpec{Target: best, Bytes: bestBytes / 2}
 }
 
 // MigrationTable renders the online-migration study.

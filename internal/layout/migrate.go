@@ -3,7 +3,6 @@ package layout
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Move is one step of a migration plan: relocate a fraction of an object
@@ -23,9 +22,10 @@ type Move struct {
 //
 // The returned moves are in object order, which is NOT necessarily a safe
 // execution order: under copy-then-commit semantics a move may transiently
-// need destination space that a later move frees. Executors must order the
-// plan with SafePlan or OrderPlan (which detect overflows and capacity
-// deadlocks) rather than running it as returned.
+// need destination space that a later move frees. Executors must schedule
+// the plan with package migrate's BuildScript (which reorders it, stages
+// capacity cycles through scratch space and reports moves that can never
+// fit) rather than running it as returned.
 func MigrationPlan(from, to *Layout, sizes []int64) ([]Move, error) {
 	if from.N != to.N || from.M != to.M {
 		return nil, fmt.Errorf("layout: migrating between %dx%d and %dx%d layouts", from.N, from.M, to.N, to.M)
@@ -78,233 +78,6 @@ func MigrationPlan(from, to *Layout, sizes []int64) ([]Move, error) {
 	return plan, nil
 }
 
-// SafePlan computes the migration plan from `from` to `to` and returns it in
-// an execution order that never transiently exceeds a target's capacity
-// under copy-then-commit semantics. Plans whose naive order would overflow
-// are reordered; plans deadlocked by a capacity cycle are rejected with a
-// *CycleError naming the objects involved (break such cycles by staging
-// through scratch space, see package migrate).
-func SafePlan(from, to *Layout, sizes, capacities []int64) ([]Move, error) {
-	plan, err := MigrationPlan(from, to, sizes)
-	if err != nil {
-		return nil, err
-	}
-	if err := CheckPlanOrder(from, plan, sizes, capacities); err == nil {
-		return plan, nil
-	}
-	return OrderPlan(from, plan, sizes, capacities)
-}
-
-// byteSlack is the tolerance (in bytes) used when comparing occupancies
-// derived from float fractions against integer capacities.
-const byteSlack = 0.5
-
-// PlanOverflowError reports that executing a migration plan in a given order
-// would transiently exceed a target's capacity: the offending move's
-// destination lacks room for the copy while the source still holds the data
-// (migration is copy-then-commit, so both sides are occupied until the move
-// commits). Callers reorder with OrderPlan or stage through scratch space.
-type PlanOverflowError struct {
-	Step      int  // index of the offending move in the plan
-	Move      Move // the move that does not fit
-	NeedBytes int64
-	FreeBytes int64 // free bytes on Move.To when the move would execute
-}
-
-func (e *PlanOverflowError) Error() string {
-	return fmt.Sprintf("layout: plan step %d moves %d bytes of object %d from target %d to target %d, but target %d has only %d bytes free at that point",
-		e.Step, e.NeedBytes, e.Move.Object, e.Move.From, e.Move.To, e.Move.To, e.FreeBytes)
-}
-
-// CycleError reports a capacity deadlock in a migration plan: a set of moves
-// each waiting for destination space that only another move in the set can
-// free. No execution order completes such a plan without staging part of it
-// through scratch space (see package migrate).
-type CycleError struct {
-	Objects []int  // objects of the deadlocked moves, in cycle order
-	Targets []int  // targets whose capacity is contended, in cycle order
-	Moves   []Move // the moves forming the cycle
-}
-
-func (e *CycleError) Error() string {
-	return fmt.Sprintf("layout: migration deadlock: objects %v form a capacity cycle over targets %v; the plan needs scratch-space staging",
-		e.Objects, e.Targets)
-}
-
-// Describe renders the cycle with the instance's object and target names.
-func (e *CycleError) Describe(inst *Instance) string {
-	var sb strings.Builder
-	sb.WriteString("migration deadlock cycle:")
-	for _, m := range e.Moves {
-		fmt.Fprintf(&sb, " [%s: %s -> %s]",
-			inst.Objects[m.Object].Name, inst.Targets[m.From].Name, inst.Targets[m.To].Name)
-	}
-	return sb.String()
-}
-
-// checkPlanRefs validates plan indices and slice lengths against the layout.
-func checkPlanRefs(from *Layout, plan []Move, sizes, capacities []int64) error {
-	if len(sizes) != from.N || len(capacities) != from.M {
-		return fmt.Errorf("layout: got %d sizes and %d capacities for a %dx%d layout",
-			len(sizes), len(capacities), from.N, from.M)
-	}
-	for s, m := range plan {
-		if m.Object < 0 || m.Object >= from.N {
-			return fmt.Errorf("layout: plan step %d references object %d outside [0,%d)", s, m.Object, from.N)
-		}
-		if m.From < 0 || m.From >= from.M || m.To < 0 || m.To >= from.M {
-			return fmt.Errorf("layout: plan step %d references targets %d->%d outside [0,%d)", s, m.From, m.To, from.M)
-		}
-		if m.From == m.To || m.Bytes < 0 {
-			return fmt.Errorf("layout: plan step %d is degenerate (targets %d->%d, %d bytes)", s, m.From, m.To, m.Bytes)
-		}
-	}
-	return nil
-}
-
-// occupancies returns the byte occupancy of every target under the layout.
-func occupancies(l *Layout, sizes []int64) []float64 {
-	occ := make([]float64, l.M)
-	for j := 0; j < l.M; j++ {
-		occ[j] = l.TargetBytes(j, sizes)
-	}
-	return occ
-}
-
-// CheckPlanOrder verifies that executing the plan in the given order never
-// transiently exceeds a target's capacity under copy-then-commit semantics:
-// before each move, the destination must have room for the moved bytes on
-// top of everything it currently holds (the source keeps its copy until the
-// move commits). It returns a *PlanOverflowError naming the first violating
-// move, or nil when the order is safe.
-func CheckPlanOrder(from *Layout, plan []Move, sizes, capacities []int64) error {
-	if err := checkPlanRefs(from, plan, sizes, capacities); err != nil {
-		return err
-	}
-	occ := occupancies(from, sizes)
-	for s, m := range plan {
-		free := float64(capacities[m.To]) - occ[m.To]
-		if float64(m.Bytes) > free+byteSlack {
-			return &PlanOverflowError{Step: s, Move: m, NeedBytes: m.Bytes, FreeBytes: int64(free)}
-		}
-		occ[m.To] += float64(m.Bytes)
-		occ[m.From] -= float64(m.Bytes)
-	}
-	return nil
-}
-
-// OrderPlan reorders a migration plan so that no move transiently exceeds
-// its destination's capacity, greedily executing whichever pending move fits
-// first. When no safe order exists it returns a *CycleError describing the
-// capacity deadlock (breakable only by scratch-space staging), or a
-// *PlanOverflowError when a move can never fit regardless of order.
-func OrderPlan(from *Layout, plan []Move, sizes, capacities []int64) ([]Move, error) {
-	if err := checkPlanRefs(from, plan, sizes, capacities); err != nil {
-		return nil, err
-	}
-	occ := occupancies(from, sizes)
-	pending := make([]int, len(plan))
-	for i := range pending {
-		pending[i] = i
-	}
-	out := make([]Move, 0, len(plan))
-	for len(pending) > 0 {
-		picked := -1
-		for pi, idx := range pending {
-			m := plan[idx]
-			if float64(m.Bytes) <= float64(capacities[m.To])-occ[m.To]+byteSlack {
-				picked = pi
-				break
-			}
-		}
-		if picked < 0 {
-			if cyc := findPlanCycle(plan, pending); cyc != nil {
-				return nil, cyc
-			}
-			m := plan[pending[0]]
-			return nil, &PlanOverflowError{
-				Step: pending[0], Move: m, NeedBytes: m.Bytes,
-				FreeBytes: int64(float64(capacities[m.To]) - occ[m.To]),
-			}
-		}
-		m := plan[pending[picked]]
-		occ[m.To] += float64(m.Bytes)
-		occ[m.From] -= float64(m.Bytes)
-		out = append(out, m)
-		pending = append(pending[:picked], pending[picked+1:]...)
-	}
-	return out, nil
-}
-
-// PlanCycle reports a capacity-deadlock cycle among the stalled moves
-// (indices into plan), or nil when the stall is acyclic. It is used by
-// executors (package migrate) that break cycles with scratch-space staging.
-func PlanCycle(plan []Move, stalled []int) *CycleError {
-	return findPlanCycle(plan, stalled)
-}
-
-// findPlanCycle looks for a dependency cycle among stalled moves: move m
-// waits for space on m.To, which only stalled moves departing m.To can free.
-// It returns a *CycleError for the first cycle found, or nil when the stall
-// is acyclic (a plain overflow).
-func findPlanCycle(plan []Move, pending []int) *CycleError {
-	byFrom := map[int][]int{} // source target -> stalled move indices
-	for _, idx := range pending {
-		byFrom[plan[idx].From] = append(byFrom[plan[idx].From], idx)
-	}
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := map[int]int{}
-	var path []int
-	var cycle []int
-	var dfs func(idx int) bool
-	dfs = func(idx int) bool {
-		color[idx] = grey
-		path = append(path, idx)
-		for _, next := range byFrom[plan[idx].To] {
-			switch color[next] {
-			case white:
-				if dfs(next) {
-					return true
-				}
-			case grey:
-				// Unwind the path back to the first occurrence of next.
-				start := 0
-				for i, p := range path {
-					if p == next {
-						start = i
-						break
-					}
-				}
-				cycle = append([]int(nil), path[start:]...)
-				return true
-			}
-		}
-		path = path[:len(path)-1]
-		color[idx] = black
-		return false
-	}
-	for _, idx := range pending {
-		if color[idx] == white && dfs(idx) {
-			break
-		}
-	}
-	if cycle == nil {
-		return nil
-	}
-	e := &CycleError{}
-	for _, idx := range cycle {
-		m := plan[idx]
-		e.Moves = append(e.Moves, m)
-		e.Objects = append(e.Objects, m.Object)
-		e.Targets = append(e.Targets, m.To)
-	}
-	return e
-}
-
 // PlanBytes sums the data volume a migration plan moves.
 func PlanBytes(plan []Move) int64 {
 	var total int64
@@ -312,19 +85,4 @@ func PlanBytes(plan []Move) int64 {
 		total += m.Bytes
 	}
 	return total
-}
-
-// FormatPlan renders a migration plan using the instance's object and
-// target names.
-func FormatPlan(inst *Instance, plan []Move) string {
-	var sb strings.Builder
-	for _, m := range plan {
-		fmt.Fprintf(&sb, "move %5.1f%% of %-18s (%6.1f MB) from %s to %s\n",
-			100*m.Fraction, inst.Objects[m.Object].Name,
-			float64(m.Bytes)/(1<<20), inst.Targets[m.From].Name, inst.Targets[m.To].Name)
-	}
-	if len(plan) == 0 {
-		sb.WriteString("no movement required\n")
-	}
-	return sb.String()
 }

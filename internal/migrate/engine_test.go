@@ -726,9 +726,13 @@ func TestDestinationFailureAbortsRollsBackAndReplans(t *testing.T) {
 
 	// Replan the remainder around the dead disk.
 	inst := fixtureInstance(sys)
-	rep, steps, err := Replan(context.Background(), inst, m, core.Options{NLP: nlp.Options{Seed: 1}}, fixtureScratch())
+	rep, err := core.RecommendRepair(context.Background(), inst, m.Layout, m.FailedTargets, core.Options{NLP: nlp.Options{Seed: 1}})
 	if err != nil {
-		t.Fatalf("Replan: %v", err)
+		t.Fatalf("RecommendRepair: %v", err)
+	}
+	steps, err := BuildScript(m.Layout, rep.Plan, sizes, caps, fixtureScratch())
+	if err != nil {
+		t.Fatalf("BuildScript: %v", err)
 	}
 	for i := 0; i < rep.Layout.N; i++ {
 		if rep.Layout.At(i, 4) != 0 {

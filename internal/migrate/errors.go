@@ -39,12 +39,46 @@ func (e *AbortError) Error() string {
 
 func (e *AbortError) Unwrap() error { return ErrMigrationAborted }
 
+// PlanOverflowError, CycleError and the plan reference checks start their
+// messages with "layout:": callers and logs already match that text.
+
+// PlanOverflowError reports a move that can never fit, whatever the order:
+// its destination lacks room for the copy while the source still holds the
+// data (migration is copy-then-commit, so both sides are occupied until the
+// move commits), and no stalled move waits on another.
+type PlanOverflowError struct {
+	Step      int         // index of the offending move in the plan
+	Move      layout.Move // the move that does not fit
+	NeedBytes int64
+	FreeBytes int64 // free bytes on Move.To when the move would execute
+}
+
+func (e *PlanOverflowError) Error() string {
+	return fmt.Sprintf("layout: plan step %d moves %d bytes of object %d from target %d to target %d, but target %d has only %d bytes free at that point",
+		e.Step, e.NeedBytes, e.Move.Object, e.Move.From, e.Move.To, e.Move.To, e.FreeBytes)
+}
+
+// CycleError reports a capacity deadlock in a migration plan: a set of moves
+// each waiting for destination space that only another move in the set can
+// free. No execution order completes such a plan without staging part of it
+// through a scratch reservation.
+type CycleError struct {
+	Objects []int         // objects of the deadlocked moves, in cycle order
+	Targets []int         // targets whose capacity is contended, in cycle order
+	Moves   []layout.Move // the moves forming the cycle
+}
+
+func (e *CycleError) Error() string {
+	return fmt.Sprintf("layout: migration deadlock: objects %v form a capacity cycle over targets %v; the plan needs scratch-space staging",
+		e.Objects, e.Targets)
+}
+
 // ScratchError reports the scratch shortfall that made a capacity cycle
 // unbreakable. It unwraps to ErrScratchExhausted.
 type ScratchError struct {
-	Cycle     *layout.CycleError // the deadlock needing staging (nil when the stall is acyclic)
-	NeedBytes int64              // smallest stage that would make progress
-	FreeBytes int64              // unused scratch reservation at the stall
+	Cycle     *CycleError // the deadlock needing staging (nil when the stall is acyclic)
+	NeedBytes int64       // smallest stage that would make progress
+	FreeBytes int64       // unused scratch reservation at the stall
 }
 
 func (e *ScratchError) Error() string {

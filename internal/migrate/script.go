@@ -1,7 +1,9 @@
 package migrate
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"dblayout/internal/layout"
 )
@@ -53,11 +55,17 @@ type ScratchSpec struct {
 
 // AutoScratch picks a scratch reservation for migrating between the two
 // layouts: half the largest byte headroom that exists on some target under
-// both endpoint layouts. A zero-Bytes spec means no target has slack — a
-// deadlocked plan between such layouts is unexecutable.
-func AutoScratch(from, to *layout.Layout, sizes, capacities []int64) ScratchSpec {
+// both endpoint layouts. It never reserves space on one of the failed
+// targets (indices outside the target range are ignored): after an
+// evacuation a failed target has the most free space of all, and nothing
+// may be staged on it. A zero-Bytes spec means no usable target has slack —
+// a deadlocked plan between such layouts is unexecutable.
+func AutoScratch(from, to *layout.Layout, sizes, capacities []int64, failed ...int) ScratchSpec {
 	best, bestBytes := -1, int64(0)
 	for j := 0; j < len(capacities); j++ {
+		if slices.Contains(failed, j) {
+			continue
+		}
 		free := float64(capacities[j]) - from.TargetBytes(j, sizes)
 		if f := float64(capacities[j]) - to.TargetBytes(j, sizes); f < free {
 			free = f
@@ -74,57 +82,58 @@ func AutoScratch(from, to *layout.Layout, sizes, capacities []int64) ScratchSpec
 
 // BuildScript turns a migration plan into an executable step sequence whose
 // intermediate states never exceed any target's capacity under
-// copy-then-commit semantics. Plans with a safe order become direct steps in
-// that order; capacity cycles are broken by staging the smallest deadlocked
-// move through the scratch reservation. It returns a *layout.CycleError when
-// a cycle exists but no scratch was configured, a *ScratchError (unwrapping
-// to ErrScratchExhausted) when the reservation is too small, and a
-// *layout.PlanOverflowError when some move can never fit regardless of
-// order.
+// copy-then-commit semantics. It schedules the plan without the scratch
+// reservation first, so a plan with a safe order becomes direct steps in
+// that order. Only when that run ends in a capacity cycle and scratch.Bytes
+// is positive does it schedule the plan again with the reservation, breaking
+// cycles by staging the smallest deadlocked move through it; the reservation
+// is validated only then.
+//
+// It returns a *CycleError when a cycle exists but no scratch was
+// configured, a *ScratchError (unwrapping to ErrScratchExhausted) when the
+// reservation is too small, and a *PlanOverflowError when some move can
+// never fit regardless of order.
 func BuildScript(from *layout.Layout, plan []layout.Move, sizes, capacities []int64, scratch ScratchSpec) ([]Step, error) {
-	ordered, err := layout.OrderPlan(from, plan, sizes, capacities)
-	if err == nil {
-		steps := make([]Step, len(ordered))
-		at := indexPlan(plan)
-		for i, m := range ordered {
-			steps[i] = Step{Kind: StepDirect, Move: m, MoveIndex: at[m]}
-		}
-		return steps, nil
-	}
-	var cyc *layout.CycleError
-	if !asCycle(err, &cyc) {
+	if err := checkPlanRefs(from, plan, sizes, capacities); err != nil {
 		return nil, err
 	}
-	if scratch.Bytes <= 0 {
-		return nil, cyc
+	steps, err := schedule(from, plan, sizes, capacities, ScratchSpec{})
+	var cyc *CycleError
+	if errors.As(err, &cyc) && scratch.Bytes > 0 {
+		return schedule(from, plan, sizes, capacities, scratch)
 	}
-	return stageScript(from, plan, sizes, capacities, scratch)
+	return steps, err
 }
 
-// indexPlan maps each move back to its index in the plan. Duplicate moves
-// (identical in every field) are interchangeable, so first-wins is fine.
-func indexPlan(plan []layout.Move) map[layout.Move]int {
-	at := make(map[layout.Move]int, len(plan))
-	for i := len(plan) - 1; i >= 0; i-- {
-		at[plan[i]] = i
+// checkPlanRefs validates plan indices and slice lengths against the layout.
+func checkPlanRefs(from *layout.Layout, plan []layout.Move, sizes, capacities []int64) error {
+	if len(sizes) != from.N || len(capacities) != from.M {
+		return fmt.Errorf("layout: got %d sizes and %d capacities for a %dx%d layout",
+			len(sizes), len(capacities), from.N, from.M)
 	}
-	return at
+	for s, m := range plan {
+		if m.Object < 0 || m.Object >= from.N {
+			return fmt.Errorf("layout: plan step %d references object %d outside [0,%d)", s, m.Object, from.N)
+		}
+		if m.From < 0 || m.From >= from.M || m.To < 0 || m.To >= from.M {
+			return fmt.Errorf("layout: plan step %d references targets %d->%d outside [0,%d)", s, m.From, m.To, from.M)
+		}
+		if m.From == m.To || m.Bytes < 0 {
+			return fmt.Errorf("layout: plan step %d is degenerate (targets %d->%d, %d bytes)", s, m.From, m.To, m.Bytes)
+		}
+	}
+	return nil
 }
 
-func asCycle(err error, out **layout.CycleError) bool {
-	c, ok := err.(*layout.CycleError)
-	if ok {
-		*out = c
-	}
-	return ok
-}
-
-// stageScript runs the greedy ordering with scratch staging: prefer
-// completing staged moves (frees scratch), then direct moves, and on a
-// deadlock stage the smallest stalled move that fits the remaining scratch
-// reservation.
-func stageScript(from *layout.Layout, plan []layout.Move, sizes, capacities []int64, scratch ScratchSpec) ([]Step, error) {
-	if scratch.Target < 0 || scratch.Target >= from.M {
+// schedule orders a plan first fit. Each round it completes the first staged
+// move whose destination now has room, else runs the first pending move that
+// fits, else stages the smallest stalled move that fits the unused
+// reservation. A zero reservation stages nothing, so a stall ends the run
+// with a *CycleError when the stalled moves wait on each other and a
+// *PlanOverflowError otherwise.
+func schedule(from *layout.Layout, plan []layout.Move, sizes, capacities []int64, scratch ScratchSpec) ([]Step, error) {
+	staging := scratch.Bytes > 0
+	if staging && (scratch.Target < 0 || scratch.Target >= from.M) {
 		return nil, fmt.Errorf("migrate: scratch target %d outside [0,%d)", scratch.Target, from.M)
 	}
 	occ := make([]float64, from.M)
@@ -132,7 +141,7 @@ func stageScript(from *layout.Layout, plan []layout.Move, sizes, capacities []in
 		occ[j] = from.TargetBytes(j, sizes)
 	}
 	scratchFree := scratch.Bytes
-	if occ[scratch.Target]+float64(scratch.Bytes) > float64(capacities[scratch.Target])+planSlack {
+	if staging && occ[scratch.Target]+float64(scratch.Bytes) > float64(capacities[scratch.Target])+planSlack {
 		return nil, fmt.Errorf("migrate: scratch reservation of %d bytes does not fit on target %d (%d of %d bytes used)",
 			scratch.Bytes, scratch.Target, int64(occ[scratch.Target]), capacities[scratch.Target])
 	}
@@ -145,24 +154,26 @@ func stageScript(from *layout.Layout, plan []layout.Move, sizes, capacities []in
 		}
 		return f
 	}
+	// firstFit returns the position in idx of the first move whose copy
+	// fits its destination now, or -1.
+	firstFit := func(idx []int) int {
+		for pi, i := range idx {
+			if float64(plan[i].Bytes) <= free(plan[i].To)+planSlack {
+				return pi
+			}
+		}
+		return -1
+	}
 
 	pending := make([]int, len(plan)) // plan indices not yet started
 	for i := range pending {
 		pending[i] = i
 	}
 	var parked []int // plan indices staged on scratch, awaiting stage-out
-	var script []Step
+	script := make([]Step, 0, len(plan))
 	for len(pending)+len(parked) > 0 {
-		// 1. Complete a staged move whose destination now has room.
-		staged := -1
-		for pi, idx := range parked {
-			if float64(plan[idx].Bytes) <= free(plan[idx].To)+planSlack {
-				staged = pi
-				break
-			}
-		}
-		if staged >= 0 {
-			idx := parked[staged]
+		if pi := firstFit(parked); pi >= 0 {
+			idx := parked[pi]
 			m := plan[idx]
 			script = append(script, Step{
 				Kind:      StepStageOut,
@@ -172,44 +183,38 @@ func stageScript(from *layout.Layout, plan []layout.Move, sizes, capacities []in
 			occ[m.To] += float64(m.Bytes)
 			occ[scratch.Target] -= float64(m.Bytes)
 			scratchFree += m.Bytes
-			parked = append(parked[:staged], parked[staged+1:]...)
+			parked = append(parked[:pi], parked[pi+1:]...)
 			continue
 		}
-		// 2. Run a direct move that fits.
-		direct := -1
-		for pi, idx := range pending {
-			if float64(plan[idx].Bytes) <= free(plan[idx].To)+planSlack {
-				direct = pi
-				break
-			}
-		}
-		if direct >= 0 {
-			idx := pending[direct]
+		if pi := firstFit(pending); pi >= 0 {
+			idx := pending[pi]
 			m := plan[idx]
 			script = append(script, Step{Kind: StepDirect, Move: m, MoveIndex: idx})
 			occ[m.To] += float64(m.Bytes)
 			occ[m.From] -= float64(m.Bytes)
-			pending = append(pending[:direct], pending[direct+1:]...)
+			pending = append(pending[:pi], pending[pi+1:]...)
 			continue
 		}
-		// 3. Deadlock: stage the smallest stalled move that fits the
-		// remaining reservation. The staged copy always fits physically
-		// because staged bytes only ever consume the reservation.
-		cyc := layout.PlanCycle(plan, pending)
+		// Stall. The staged copy always fits physically because staged
+		// bytes only ever consume the reservation.
 		stage, need := -1, int64(0)
 		for pi, idx := range pending {
 			b := plan[idx].Bytes
 			if need == 0 || b < need {
 				need = b
 			}
-			if b <= scratchFree && (stage < 0 || b < plan[pending[stage]].Bytes) {
+			if staging && b <= scratchFree && (stage < 0 || b < plan[pending[stage]].Bytes) {
 				stage = pi
 			}
 		}
 		if stage < 0 {
-			if cyc == nil && len(pending) > 0 {
+			cyc := findPlanCycle(plan, pending)
+			switch {
+			case cyc != nil && !staging:
+				return nil, cyc
+			case cyc == nil && len(pending) > 0:
 				m := plan[pending[0]]
-				return nil, &layout.PlanOverflowError{
+				return nil, &PlanOverflowError{
 					Step: pending[0], Move: m, NeedBytes: m.Bytes,
 					FreeBytes: int64(free(m.To)),
 				}
@@ -232,8 +237,70 @@ func stageScript(from *layout.Layout, plan []layout.Move, sizes, capacities []in
 	return script, nil
 }
 
+// findPlanCycle looks for a dependency cycle among stalled moves: move m
+// waits for space on m.To, which only stalled moves departing m.To can free.
+// It returns a *CycleError for the first cycle found, or nil when the stall
+// is acyclic (a plain overflow).
+func findPlanCycle(plan []layout.Move, pending []int) *CycleError {
+	byFrom := map[int][]int{} // source target -> stalled move indices
+	for _, idx := range pending {
+		byFrom[plan[idx].From] = append(byFrom[plan[idx].From], idx)
+	}
+	const (
+		white = 0
+		grey  = 1
+		black = 2
+	)
+	color := map[int]int{}
+	var path []int
+	var cycle []int
+	var dfs func(idx int) bool
+	dfs = func(idx int) bool {
+		color[idx] = grey
+		path = append(path, idx)
+		for _, next := range byFrom[plan[idx].To] {
+			switch color[next] {
+			case white:
+				if dfs(next) {
+					return true
+				}
+			case grey:
+				// Unwind the path back to the first occurrence of next.
+				start := 0
+				for i, p := range path {
+					if p == next {
+						start = i
+						break
+					}
+				}
+				cycle = append([]int(nil), path[start:]...)
+				return true
+			}
+		}
+		path = path[:len(path)-1]
+		color[idx] = black
+		return false
+	}
+	for _, idx := range pending {
+		if color[idx] == white && dfs(idx) {
+			break
+		}
+	}
+	if cycle == nil {
+		return nil
+	}
+	e := &CycleError{}
+	for _, idx := range cycle {
+		m := plan[idx]
+		e.Moves = append(e.Moves, m)
+		e.Objects = append(e.Objects, m.Object)
+		e.Targets = append(e.Targets, m.To)
+	}
+	return e
+}
+
 // planSlack is the byte tolerance used when comparing float occupancies
-// against integer capacities, mirroring the one in package layout.
+// against integer capacities.
 const planSlack = 0.5
 
 // ScriptBytes sums the data volume a script copies, counting staged moves
