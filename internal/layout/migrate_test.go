@@ -1,21 +1,30 @@
-package layout
+package layout_test
 
 import (
 	"errors"
 	"strings"
 	"testing"
+
+	"dblayout/internal/layout"
+	"dblayout/internal/migrate"
 )
+
+// These tests pin MigrationPlan's documented contract with its scheduler:
+// the plan comes in object order, migrate.BuildScript puts it in an order
+// that never overfills a target under copy-then-commit, and a plan that no
+// order can run is reported as a capacity cycle. They live in an external
+// test package because migrate imports layout.
 
 // rotationFixture builds a 3-object / 3-target problem whose migration is a
 // pure capacity rotation: every object fills its target entirely and the
 // target layout shifts each object to the next target, so no move can run
 // before another frees its destination.
-func rotationFixture() (from, to *Layout, sizes, caps []int64) {
+func rotationFixture() (from, to *layout.Layout, sizes, caps []int64) {
 	const sz = 100
 	sizes = []int64{sz, sz, sz}
 	caps = []int64{sz, sz, sz}
-	from = New(3, 3)
-	to = New(3, 3)
+	from = layout.New(3, 3)
+	to = layout.New(3, 3)
 	for i := 0; i < 3; i++ {
 		from.Set(i, i, 1)
 		to.Set(i, (i+1)%3, 1)
@@ -23,75 +32,35 @@ func rotationFixture() (from, to *Layout, sizes, caps []int64) {
 	return from, to, sizes, caps
 }
 
-func TestCheckPlanOrderDetectsTransientOverflow(t *testing.T) {
-	// Two targets, each full; swapping the residents is impossible in any
-	// naive order because the first move's destination is occupied.
-	sizes := []int64{100, 100}
-	caps := []int64{100, 100}
-	from := New(2, 2)
-	from.Set(0, 0, 1)
-	from.Set(1, 1, 1)
-	to := New(2, 2)
-	to.Set(0, 1, 1)
-	to.Set(1, 0, 1)
-	plan, err := MigrationPlan(from, to, sizes)
-	if err != nil {
-		t.Fatal(err)
+// checkOrderSafe replays a script's moves from `from` and fails the test if
+// a move's copy does not fit its destination while the source still holds
+// the data.
+func checkOrderSafe(t *testing.T, from *layout.Layout, steps []migrate.Step, sizes, caps []int64) {
+	t.Helper()
+	occ := make([]float64, from.M)
+	for j := range occ {
+		occ[j] = from.TargetBytes(j, sizes)
 	}
-	err = CheckPlanOrder(from, plan, sizes, caps)
-	var ov *PlanOverflowError
-	if !errors.As(err, &ov) {
-		t.Fatalf("CheckPlanOrder = %v, want *PlanOverflowError", err)
-	}
-	if ov.NeedBytes != 100 || ov.FreeBytes != 0 {
-		t.Errorf("overflow detail need=%d free=%d, want 100/0", ov.NeedBytes, ov.FreeBytes)
-	}
-	if !strings.Contains(ov.Error(), "bytes free") {
-		t.Errorf("unhelpful error: %v", ov)
-	}
-}
-
-func TestCheckPlanOrderAcceptsSafeOrder(t *testing.T) {
-	// Same swap but with one target double-sized: moving the resident of
-	// the big target first is safe.
-	sizes := []int64{100, 100}
-	caps := []int64{200, 100}
-	from := New(2, 2)
-	from.Set(0, 0, 1)
-	from.Set(1, 1, 1)
-	to := New(2, 2)
-	to.Set(0, 1, 1)
-	to.Set(1, 0, 1)
-	plan, err := MigrationPlan(from, to, sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ordered, err := OrderPlan(from, plan, sizes, caps)
-	if err != nil {
-		t.Fatalf("OrderPlan: %v", err)
-	}
-	if len(ordered) != len(plan) {
-		t.Fatalf("ordered plan has %d moves, want %d", len(ordered), len(plan))
-	}
-	if err := CheckPlanOrder(from, ordered, sizes, caps); err != nil {
-		t.Fatalf("ordered plan still overflows: %v", err)
-	}
-	// The safe order must move object 1 (into the roomy target 0) first.
-	if ordered[0].Object != 1 || ordered[0].To != 0 {
-		t.Errorf("first move %+v, want object 1 -> target 0", ordered[0])
+	for i, s := range steps {
+		m := s.Move
+		if float64(m.Bytes) > float64(caps[m.To])-occ[m.To] {
+			t.Fatalf("step %d (%+v) overflows target %d", i, m, m.To)
+		}
+		occ[m.To] += float64(m.Bytes)
+		occ[m.From] -= float64(m.Bytes)
 	}
 }
 
 func TestOrderPlanDetectsCycle(t *testing.T) {
 	from, to, sizes, caps := rotationFixture()
-	plan, err := MigrationPlan(from, to, sizes)
+	plan, err := layout.MigrationPlan(from, to, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = OrderPlan(from, plan, sizes, caps)
-	var cyc *CycleError
+	_, err = migrate.BuildScript(from, plan, sizes, caps, migrate.ScratchSpec{})
+	var cyc *migrate.CycleError
 	if !errors.As(err, &cyc) {
-		t.Fatalf("OrderPlan = %v, want *CycleError", err)
+		t.Fatalf("BuildScript = %v, want *migrate.CycleError", err)
 	}
 	if len(cyc.Moves) != 3 || len(cyc.Objects) != 3 {
 		t.Fatalf("cycle %+v, want all 3 moves", cyc)
@@ -114,38 +83,27 @@ func TestSafePlanReordersAndRejects(t *testing.T) {
 	// Reorderable: rotation with one roomy target.
 	from, to, sizes, caps := rotationFixture()
 	caps[2] = 200
-	plan, err := SafePlan(from, to, sizes, caps)
+	plan, err := layout.MigrationPlan(from, to, sizes)
 	if err != nil {
-		t.Fatalf("SafePlan on reorderable rotation: %v", err)
+		t.Fatal(err)
 	}
-	if err := CheckPlanOrder(from, plan, sizes, caps); err != nil {
-		t.Fatalf("SafePlan emitted unsafe order: %v", err)
+	steps, err := migrate.BuildScript(from, plan, sizes, caps, migrate.ScratchSpec{})
+	if err != nil {
+		t.Fatalf("BuildScript on reorderable rotation: %v", err)
 	}
+	if len(steps) != len(plan) {
+		t.Fatalf("script has %d steps for %d moves", len(steps), len(plan))
+	}
+	checkOrderSafe(t, from, steps, sizes, caps)
 
 	// Deadlocked: the pure rotation must be rejected with a cycle error.
 	from, to, sizes, caps = rotationFixture()
-	_, err = SafePlan(from, to, sizes, caps)
-	var cyc *CycleError
+	if plan, err = layout.MigrationPlan(from, to, sizes); err != nil {
+		t.Fatal(err)
+	}
+	_, err = migrate.BuildScript(from, plan, sizes, caps, migrate.ScratchSpec{})
+	var cyc *migrate.CycleError
 	if !errors.As(err, &cyc) {
-		t.Fatalf("SafePlan on deadlocked rotation = %v, want *CycleError", err)
-	}
-}
-
-func TestOrderPlanValidatesReferences(t *testing.T) {
-	from := New(2, 2)
-	from.Set(0, 0, 1)
-	from.Set(1, 1, 1)
-	sizes := []int64{10, 10}
-	caps := []int64{100, 100}
-	bad := []Move{{Object: 5, From: 0, To: 1, Fraction: 1, Bytes: 10}}
-	if _, err := OrderPlan(from, bad, sizes, caps); err == nil {
-		t.Error("OrderPlan accepted an out-of-range object")
-	}
-	if err := CheckPlanOrder(from, bad, sizes, caps); err == nil {
-		t.Error("CheckPlanOrder accepted an out-of-range object")
-	}
-	loop := []Move{{Object: 0, From: 1, To: 1, Fraction: 1, Bytes: 10}}
-	if err := CheckPlanOrder(from, loop, sizes, caps); err == nil {
-		t.Error("CheckPlanOrder accepted a self-move")
+		t.Fatalf("BuildScript on deadlocked rotation = %v, want *migrate.CycleError", err)
 	}
 }

@@ -305,30 +305,28 @@ func TestStateUpdatesSurviveMigrationFinish(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 3; i++ {
-			base := fmt.Sprintf("%s/v1/tenants/t%d", h.URL, i)
+		// start puts the original document on a fresh tenant.
+		start := func(id string) (*tenant, string) {
+			base := h.URL + "/v1/tenants/" + id
 			if code, resp := do(t, client, "PUT", base, testDoc(t, allOnD0)); code != http.StatusOK {
 				t.Fatalf("PUT: %d %v", code, resp)
 			}
-			put := make(chan int, 1)
-			go func() { put <- send(t, client, "PUT", base, replacement) }()
-			time.Sleep(5 * time.Millisecond) // the PUT is calibrating
-			code, resp := do(t, client, "POST", base+"/migrate", map[string]interface{}{
-				"target": spread, "bytes_per_sec": 4 << 20,
-			})
-			if code != http.StatusOK && code != http.StatusConflict {
-				t.Fatalf("migrate: %d %v", code, resp)
-			}
-			<-put
-			s.wg.Wait() // every migration pump has run out
-
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return s.tenants[id], base
+		}
+		// settle waits out every migration pump, then checks that the
+		// tenant's layout fits its document and that its journal, if any,
+		// recovers to that layout.
+		settle := func(id, base string) {
+			s.wg.Wait()
 			rows, objects := currentRows(t, client, base)
 			if len(rows) != objects {
-				t.Fatalf("tenant t%d: %d-row layout on a %d-object document", i, len(rows), objects)
+				t.Fatalf("tenant %s: %d-row layout on a %d-object document", id, len(rows), objects)
 			}
-			data, err := os.ReadFile(s.journalPath(fmt.Sprintf("t%d", i)))
+			data, err := os.ReadFile(s.journalPath(id))
 			if os.IsNotExist(err) {
-				continue
+				return
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -338,9 +336,64 @@ func TestStateUpdatesSurviveMigrationFinish(t *testing.T) {
 				t.Fatalf("journal: %v", err)
 			}
 			if !rowsEqual(layoutRows(ck.Current), rows) {
-				t.Fatalf("tenant t%d: journal layout %v, tenant layout %v", i, layoutRows(ck.Current), rows)
+				t.Fatalf("tenant %s: journal layout %v, tenant layout %v", id, layoutRows(ck.Current), rows)
 			}
 		}
+
+		// The migration starts while the replacement calibrates: holding
+		// the tenant's model-cache lock keeps the PUT calibrating, so it
+		// cannot install before /migrate has planned and started. The PUT
+		// then finds the migration in flight, or installs after it.
+		ten, base := start("t0")
+		ten.modelMu.Lock()
+		put := make(chan int, 1)
+		go func() { put <- send(t, client, "PUT", base, replacement) }()
+		code, resp := func() (int, map[string]interface{}) {
+			defer ten.modelMu.Unlock()
+			return do(t, client, "POST", base+"/migrate", map[string]interface{}{
+				"target": spread, "bytes_per_sec": 4 << 20,
+			})
+		}()
+		if code != http.StatusOK || resp["started"] != true {
+			t.Fatalf("migrate during calibration: %d %v", code, resp)
+		}
+		if code := <-put; code != http.StatusOK && code != http.StatusConflict {
+			t.Fatalf("replacement PUT: %d", code)
+		}
+		settle("t0", base)
+
+		// The replacement lands while /migrate plans: the request parks on
+		// an advise entry that is not ready yet, the PUT calibrates and
+		// installs, and the plan made for the replaced document is refused.
+		ten, base = start("t1")
+		e := &adviseEntry{ready: make(chan struct{})}
+		ten.adviseMu.Lock()
+		ten.advise[adviseKey{version: ten.snapshot().version, budget: s.opt.SolveBudget}] = e
+		ten.adviseMu.Unlock()
+		hits := s.mAdviseHits.Value()
+		result := make(chan int, 1)
+		go func() { result <- send(t, client, "POST", base+"/migrate", nil) }()
+		for s.mAdviseHits.Value() == hits {
+			select {
+			case code := <-result:
+				t.Fatalf("migrate answered %d before waiting on its advise", code)
+			case <-time.After(time.Millisecond):
+			}
+		}
+		code = send(t, client, "PUT", base, replacement)
+		planned, err := layout.FromRows(spread, 4, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.rec = &dblayout.Recommendation{Final: planned}
+		close(e.ready)
+		if code != http.StatusOK {
+			t.Fatalf("replacement PUT while /migrate plans: %d", code)
+		}
+		if code := <-result; code != http.StatusConflict {
+			t.Fatalf("migrate planned for a replaced document: %d, want 409", code)
+		}
+		settle("t1", base)
 	})
 }
 
