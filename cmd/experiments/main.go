@@ -2,19 +2,21 @@
 // evaluation (Sec. 6) end-to-end: it traces the SQL workloads under the SEE
 // baseline on the simulated storage system, fits workload models, calibrates
 // target cost models, runs the layout advisor, and replays the workloads
-// under every layout the paper compares.
+// under every layout the paper compares. The studies of one run share their
+// traces and calibrations.
 //
 // Usage:
 //
-//	experiments [-run all|fig8|fig11|fig15|fig17|fig18|fig19|fig20|ablation|degraded|migration|drift|autonomic|chaos|fleet]
-//	            [-quick] [-seed N] [-seeds N] [-v | -log-level L] [-trace-out solver.jsonl]
+//	experiments [-run all|<study>] [-quick] [-seed N] [-seeds N]
+//	            [-v | -log-level L] [-trace-out solver.jsonl]
 //	            [-metrics-out metrics.prom] [-metrics-flush 5s]
 //	            [-listen addr] [-listen-hold 30s]
 //	            [-drift-events events.jsonl]
 //	            [-cpuprofile f] [-memprofile f]
 //
-// fig11 also prints the layout figures (1, 12, 14) and utilization-stage
-// figure (13) derived from the same runs.
+// -h lists the studies in the order -run all runs them; an unknown name
+// exits 2. fig11 also prints the layout figures (1, 12, 14) and the
+// utilization-stage figure (13) derived from the same runs.
 package main
 
 import (
@@ -27,21 +29,109 @@ import (
 	"syscall"
 	"time"
 
+	"dblayout/internal/control"
 	"dblayout/internal/experiments"
 	"dblayout/internal/nlp"
 	"dblayout/internal/obs"
 )
 
+// study is one runnable study: it runs on the shared Config and returns its
+// section of the report.
+type study struct {
+	name string
+	run  func(cfg *experiments.Config) (string, error)
+}
+
+// section builds a study that runs fn and renders its result under title.
+func section[T any](name, title string, fn func(*experiments.Config) (T, error), render func(T) string) study {
+	return study{name, func(cfg *experiments.Config) (string, error) {
+		res, err := fn(cfg)
+		if err != nil {
+			return "", err
+		}
+		return title + render(res), nil
+	}}
+}
+
+// chaosSeeds is the -seeds flag: the chaos campaign's scenario count.
+var chaosSeeds int
+
+// studies are the studies, in the order -run all runs them.
+var studies = []study{
+	section("fig8", "", experiments.Fig8CostSlice, experiments.Fig8Table),
+	section("fig11", "Fig. 11 — workload execution times, homogeneous targets:\n", experiments.Homogeneous, fig11),
+	section("fig15", "Fig. 15 — consolidation scenario:\n", experiments.Consolidation,
+		func(r *experiments.ConsolidationResult) string {
+			return r.Fig15Table() + "\nFig. 16 — consolidated optimized layout, hottest objects:\n" + r.Fig16Table()
+		}),
+	section("fig17", "Fig. 17 — heterogeneous disk configurations, OLAP8-63:\n", experiments.Heterogeneous, experiments.Fig17Table),
+	section("fig18", "Fig. 18 — four disks plus SSD, OLAP8-63:\n", experiments.SSDStudy, experiments.Fig18Table),
+	section("fig19", "Fig. 19 — advisor running time vs. problem size:\n", experiments.Timing, experiments.Fig19Table),
+	section("ablation", "Ablation — advisor variants on OLAP1-63, four disks:\n", experiments.Ablation, experiments.AblationTable),
+	section("degraded", "Degraded-mode study — RAID5 reconstruction and failure-aware repair:\n", experiments.Degraded, experiments.DegradedTable),
+	section("migration", "Online-migration study — throttled deployment and failure evacuation:\n", experiments.Migration, experiments.MigrationTable),
+	section("drift", "Drift study — diurnal OLTP->OLAP shift, windowed detection:\n", experiments.Drift, experiments.DriftTable),
+	section("autonomic", "Autonomic control loop — detect, re-advise, migrate, cool down:\n", experiments.Autonomic, experiments.AutonomicTable),
+	section("chaos", "Chaos campaign — crash-safe controller under fault injection:\n",
+		func(cfg *experiments.Config) (*control.ChaosCampaignReport, error) {
+			return experiments.Chaos(cfg, chaosSeeds)
+		},
+		experiments.ChaosTable),
+	section("fleet", "Fleet-scale study — sparse pruned transfer search:\n", experiments.Fleet, experiments.FleetTable),
+	section("fig20", "Fig. 20 / Sec. 6.6 — AutoAdmin comparison:\n", experiments.AutoAdminStudy, (*experiments.AutoAdminResult).Fig20Table),
+}
+
+// fig11 renders Fig. 11 and, per workload, the figures derived from the
+// same runs: 13, the optimized layout (1 or 12) and the solver layout (14).
+func fig11(runs []*experiments.WorkloadRun) string {
+	var sb strings.Builder
+	sb.WriteString(experiments.Fig11Table(runs))
+	for _, r := range runs {
+		fmt.Fprintf(&sb, "\nFig. 13 — %s\n%s", r.Workload, experiments.Fig13Table(r))
+		fmt.Fprintf(&sb, "\nFig. %s — optimized layout (%s), hottest objects:\n%s",
+			map[string]string{"OLAP1-63": "1", "OLAP8-63": "12"}[r.Workload],
+			r.Workload, experiments.LayoutTable(r.Instance, r.Rec.Final, 8))
+		fmt.Fprintf(&sb, "\nFig. 14 — solver (non-regular) layout (%s):\n%s",
+			r.Workload, experiments.LayoutTable(r.Instance, r.Rec.Solver, 8))
+	}
+	return sb.String()
+}
+
+// selectStudies returns the studies -run names, or an error listing the
+// valid names.
+func selectStudies(which string) ([]study, error) {
+	valid := []string{"all"}
+	for _, s := range studies {
+		if s.name == which {
+			return []study{s}, nil
+		}
+		valid = append(valid, s.name)
+	}
+	if which == "all" {
+		return studies, nil
+	}
+	return nil, fmt.Errorf("unknown study %q; valid: %s", which, strings.Join(valid, ", "))
+}
+
 func main() {
-	which := flag.String("run", "all", "experiment to run: all, fig8, fig11, fig15, fig17, fig18, fig19, fig20, ablation, degraded, migration, drift, autonomic, chaos, fleet")
+	var names []string
+	for _, s := range studies {
+		names = append(names, s.name)
+	}
+	which := flag.String("run", "all", "study to run: all, "+strings.Join(names, ", "))
 	quick := flag.Bool("quick", false, "reduced scale (coarse calibration, fewer queries)")
 	seed := flag.Int64("seed", 1, "replay and solver seed")
-	seeds := flag.Int("seeds", 0, "chaos campaign scenario count (0 = default 50)")
+	flag.IntVar(&chaosSeeds, "seeds", 0, "chaos campaign scenario count (0 = default 50)")
 	workers := flag.Int("workers", 0, "solver restart parallelism (0 = auto, 1 = serial); results are identical at any worker count")
 	driftEvents := flag.String("drift-events", "", "write the drift experiment's detection events as JSON lines to this file")
 	var cli obs.CLI
 	cli.Register(flag.CommandLine)
 	flag.Parse()
+	selected, err := selectStudies(*which)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
+	}
 
 	sess, err := cli.Start(os.Stderr)
 	if err != nil {
@@ -90,165 +180,15 @@ func main() {
 		cfg.DriftEvents = f
 	}
 
-	run := func(name string, fn func() error) {
-		if *which != "all" && *which != name {
-			return
-		}
+	for _, s := range selected {
 		start := time.Now()
-		fmt.Printf("=== %s ===\n", strings.ToUpper(name))
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		fmt.Printf("=== %s ===\n", strings.ToUpper(s.name))
+		out, err := s.run(cfg)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", s.name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("(%s completed in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Print(out)
+		fmt.Printf("(%s completed in %v)\n\n", s.name, time.Since(start).Round(time.Millisecond))
 	}
-
-	run("fig8", func() error {
-		series, err := experiments.Fig8CostSlice(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.Fig8Table(series))
-		return nil
-	})
-
-	run("fig11", func() error {
-		runs, err := experiments.Homogeneous(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Fig. 11 — workload execution times, homogeneous targets:")
-		fmt.Print(experiments.Fig11Table(runs))
-		for _, r := range runs {
-			fmt.Printf("\nFig. 13 — %s\n%s", r.Workload, experiments.Fig13Table(r))
-			fmt.Printf("\nFig. %s — optimized layout (%s), hottest objects:\n%s",
-				map[string]string{"OLAP1-63": "1", "OLAP8-63": "12"}[r.Workload],
-				r.Workload, experiments.LayoutTable(r.Instance, r.Rec.Final, 8))
-			fmt.Printf("\nFig. 14 — solver (non-regular) layout (%s):\n%s",
-				r.Workload, experiments.LayoutTable(r.Instance, r.Rec.Solver, 8))
-		}
-		return nil
-	})
-
-	run("fig15", func() error {
-		res, err := experiments.Consolidation(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Fig. 15 — consolidation scenario:")
-		fmt.Print(res.Fig15Table())
-		fmt.Println("\nFig. 16 — consolidated optimized layout, hottest objects:")
-		fmt.Print(res.Fig16Table())
-		return nil
-	})
-
-	run("fig17", func() error {
-		rows, err := experiments.Heterogeneous(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Fig. 17 — heterogeneous disk configurations, OLAP8-63:")
-		fmt.Print(experiments.Fig17Table(rows))
-		return nil
-	})
-
-	run("fig18", func() error {
-		rows, err := experiments.SSDStudy(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Fig. 18 — four disks plus SSD, OLAP8-63:")
-		fmt.Print(experiments.Fig18Table(rows))
-		return nil
-	})
-
-	run("fig19", func() error {
-		rows, err := experiments.Timing(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Fig. 19 — advisor running time vs. problem size:")
-		fmt.Print(experiments.Fig19Table(rows))
-		return nil
-	})
-
-	run("ablation", func() error {
-		rows, err := experiments.Ablation(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Ablation — advisor variants on OLAP1-63, four disks:")
-		fmt.Print(experiments.AblationTable(rows))
-		return nil
-	})
-
-	run("degraded", func() error {
-		res, err := experiments.Degraded(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Degraded-mode study — RAID5 reconstruction and failure-aware repair:")
-		fmt.Print(experiments.DegradedTable(res))
-		return nil
-	})
-
-	run("migration", func() error {
-		res, err := experiments.Migration(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Online-migration study — throttled deployment and failure evacuation:")
-		fmt.Print(experiments.MigrationTable(res))
-		return nil
-	})
-
-	run("drift", func() error {
-		res, err := experiments.Drift(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Drift study — diurnal OLTP->OLAP shift, windowed detection:")
-		fmt.Print(experiments.DriftTable(res))
-		return nil
-	})
-
-	run("autonomic", func() error {
-		res, err := experiments.Autonomic(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Autonomic control loop — detect, re-advise, migrate, cool down:")
-		fmt.Print(experiments.AutonomicTable(res))
-		return nil
-	})
-
-	run("chaos", func() error {
-		rep, err := experiments.Chaos(cfg, *seeds)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Chaos campaign — crash-safe controller under fault injection:")
-		fmt.Print(experiments.ChaosTable(rep))
-		return nil
-	})
-
-	run("fleet", func() error {
-		rows, err := experiments.Fleet(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Fleet-scale study — sparse pruned transfer search:")
-		fmt.Print(experiments.FleetTable(rows))
-		return nil
-	})
-
-	run("fig20", func() error {
-		res, err := experiments.AutoAdminStudy(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Fig. 20 / Sec. 6.6 — AutoAdmin comparison:")
-		fmt.Print(res.Fig20Table())
-		return nil
-	})
 }

@@ -9,11 +9,10 @@ import (
 	"fmt"
 	"log"
 
+	"dblayout"
 	"dblayout/internal/benchdb"
-	"dblayout/internal/core"
 	"dblayout/internal/costmodel"
 	"dblayout/internal/layout"
-	"dblayout/internal/nlp"
 	"dblayout/internal/replay"
 	"dblayout/internal/rubicon"
 )
@@ -49,26 +48,13 @@ func main() {
 	}
 
 	fmt.Println("advising...")
-	inst := &layout.Instance{
+	// Fig. 4's multi-start loop: solve from the heuristic initial layout
+	// and from SEE, and keep the better final layout.
+	rec, err := dblayout.Recommend(dblayout.Problem{
 		Objects:   objects,
 		Targets:   sys.Targets(costmodel.NewCache(), costmodel.FastGrid()),
 		Workloads: workloads,
-	}
-	if err := inst.Validate(); err != nil {
-		log.Fatal(err)
-	}
-	heuristic, err := layout.InitialLayout(inst)
-	if err != nil {
-		log.Fatal(err)
-	}
-	adv, err := core.New(inst, core.Options{
-		NLP:            nlp.Options{Seed: 1},
-		InitialLayouts: []*layout.Layout{heuristic, see},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	rec, err := adv.Recommend()
+	}, dblayout.Options{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

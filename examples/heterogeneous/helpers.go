@@ -4,27 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"dblayout/internal/core"
 	"dblayout/internal/layout"
-	"dblayout/internal/nlp"
 )
-
-// adviseMultiStart runs the advisor from both the heuristic initial layout
-// and SEE, as the experiments harness does.
-func adviseMultiStart(inst *layout.Instance) (*core.Recommendation, error) {
-	heuristic, err := layout.InitialLayout(inst)
-	if err != nil {
-		return nil, err
-	}
-	adv, err := core.New(inst, core.Options{
-		NLP:            nlp.Options{Seed: 1},
-		InitialLayouts: []*layout.Layout{heuristic, layout.SEE(inst.N(), inst.M())},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return adv.Recommend()
-}
 
 // printLayout prints the hottest `top` objects' placements.
 func printLayout(inst *layout.Instance, l *layout.Layout, top int) {

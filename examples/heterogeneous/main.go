@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 
+	"dblayout"
 	"dblayout/internal/benchdb"
 	"dblayout/internal/costmodel"
 	"dblayout/internal/layout"
@@ -52,10 +53,11 @@ func main() {
 		Targets:   sys.Targets(cache, costmodel.FastGrid()),
 		Workloads: workloads,
 	}
-	if err := inst.Validate(); err != nil {
-		log.Fatal(err)
-	}
-	rec, err := adviseMultiStart(inst)
+	// Fig. 4's multi-start loop: solve from the heuristic initial layout
+	// and from SEE, and keep the better final layout.
+	rec, err := dblayout.Recommend(dblayout.Problem{
+		Objects: inst.Objects, Targets: inst.Targets, Workloads: inst.Workloads,
+	}, dblayout.Options{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,10 +12,10 @@ import (
 // TestPipelineDeterminism runs the full experiment pipeline (replay, trace
 // fitting, calibration, advising, replay of the recommendation) twice and
 // requires bit-identical results: reproducibility is a core requirement for
-// a benchmark harness.
+// a benchmark harness. A third run, on a Config whose earlier studies already
+// traced both systems, must match them too.
 func TestPipelineDeterminism(t *testing.T) {
-	run := func() []float64 {
-		cfg := experiments.NewQuickConfig()
+	run := func(cfg *experiments.Config) []float64 {
 		runs, err := experiments.Homogeneous(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -26,10 +26,19 @@ func TestPipelineDeterminism(t *testing.T) {
 		}
 		return out
 	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("pipeline not deterministic at %d: %v vs %v", i, a, b)
+	shared := experiments.NewQuickConfig()
+	if _, err := experiments.Ablation(shared); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := experiments.AutoAdminStudy(shared); err != nil {
+		t.Fatal(err)
+	}
+	a := run(experiments.NewQuickConfig())
+	for _, b := range [][]float64{run(experiments.NewQuickConfig()), run(shared)} {
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("pipeline not deterministic at %d: %v vs %v", i, a, b)
+			}
 		}
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"dblayout/internal/rubicon"
 	"dblayout/internal/seed"
 	"dblayout/internal/storage"
+	"dblayout/internal/wal"
 )
 
 // SimIO is a deterministic in-memory migrate.IO: a storage.Calendar keyed on
@@ -448,7 +449,7 @@ func (c *chaosRun) simDevices() []SimDevice {
 // until crash, completion, or the window budget. Returns done=true when the
 // scenario reached verified steady state.
 func (c *chaosRun) session() (bool, error) {
-	durable := TruncateTorn(c.journal)
+	durable := wal.TruncateTorn(c.journal)
 
 	// Corruption injection: flip a byte of the durable journal and require
 	// the resume to reject it, then carry on with the pristine bytes.
@@ -578,7 +579,7 @@ func (c *chaosRun) observeProgress(ctrl *Controller) bool {
 // step states, no double commit — are enforced by Recover itself; a violation
 // surfaces here as a recovery error on a journal the controller itself wrote.
 func (c *chaosRun) checkInvariants() error {
-	durable := TruncateTorn(c.journal)
+	durable := wal.TruncateTorn(c.journal)
 	if len(durable) == 0 {
 		return nil
 	}

@@ -73,7 +73,7 @@ type Config struct {
 	// Journal receives the write-ahead record stream. A nil journal still
 	// runs correctly but cannot be resumed after a crash.
 	Journal io.Writer
-	// Resume holds the contents of a prior journal (after TruncateTorn).
+	// Resume holds the contents of a prior journal (after wal.TruncateTorn).
 	// The controller recovers its exact state from it and Journal should
 	// be the same file opened for append.
 	Resume []byte

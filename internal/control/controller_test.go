@@ -9,6 +9,7 @@ import (
 	"dblayout/internal/layout"
 	"dblayout/internal/rome"
 	"dblayout/internal/rubicon"
+	"dblayout/internal/wal"
 )
 
 // ctFixture bundles the chaos fixture for direct controller tests.
@@ -212,7 +213,7 @@ func TestResumeMidMigrationMatchesUninterrupted(t *testing.T) {
 			if c.Crashed() {
 				crashes++
 				w2 := &chaosWriter{buf: buf, remaining: 1 << 30}
-				cfg2 := f.config(buf, TruncateTorn(buf.Bytes()))
+				cfg2 := f.config(buf, wal.TruncateTorn(buf.Bytes()))
 				cfg2.Journal = w2
 				c, err = New(cfg2)
 				if err != nil {
@@ -307,7 +308,7 @@ func TestAllDevicesFailGivesUp(t *testing.T) {
 		t.Fatalf("attempt counter not reset after give-up: %+v", st)
 	}
 	// The journal must still recover cleanly after the failed episode.
-	if _, err := Recover(TruncateTorn(journal.Bytes())); err != nil {
+	if _, err := Recover(wal.TruncateTorn(journal.Bytes())); err != nil {
 		t.Fatalf("journal after give-up: %v", err)
 	}
 }

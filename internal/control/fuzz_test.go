@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dblayout/internal/migrate"
+	"dblayout/internal/wal"
 )
 
 // FuzzControllerJournalDecode: Recover must never panic and never accept a
@@ -11,7 +12,7 @@ import (
 func FuzzControllerJournalDecode(f *testing.F) {
 	valid := encodeJournalFuzz()
 	f.Add(valid)
-	f.Add(TruncateTorn(valid[:len(valid)/2]))
+	f.Add(wal.TruncateTorn(valid[:len(valid)/2]))
 	corrupted := append([]byte(nil), valid...)
 	if len(corrupted) > 20 {
 		corrupted[20] ^= 0x5a

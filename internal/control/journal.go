@@ -118,7 +118,7 @@ func Begin(w io.Writer, base *layout.Layout, seed int64) (*Journal, error) {
 	return j, j.append(Record{T: recBegin, N: base.N, M: base.M, Rows: rows, Seed: seed})
 }
 
-// Reopen recovers the durable bytes of a journal (after TruncateTorn) and
+// Reopen recovers the durable bytes of a journal (after wal.TruncateTorn) and
 // returns its owner, appending to w: the same journal opened for append.
 func Reopen(w io.Writer, data []byte) (*Journal, *Checkpoint, error) {
 	ck, err := Recover(data)
@@ -571,11 +571,4 @@ func mergeFailed(have, add []int) []int {
 		}
 	}
 	return out
-}
-
-// TruncateTorn returns the journal prefix ending at the last newline,
-// discarding a torn final line left by a crash mid-write. It is
-// wal.TruncateTorn re-exported for symmetry with package migrate.
-func TruncateTorn(data []byte) []byte {
-	return wal.TruncateTorn(data)
 }

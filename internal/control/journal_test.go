@@ -226,7 +226,7 @@ func TestRecoverStates(t *testing.T) {
 	t.Run("torn tail ignored", func(t *testing.T) {
 		data := encodeJournal(t, begin, testPlan(1, 1))
 		torn := append(append([]byte(nil), data...), []byte("deadbeef {\"t\":\"cpl")...)
-		ck, err := Recover(TruncateTorn(torn))
+		ck, err := Recover(wal.TruncateTorn(torn))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,7 +378,7 @@ func buildTortureJournal(t *testing.T) []byte {
 func TestJournalPrefixTorture(t *testing.T) {
 	data := buildTortureJournal(t)
 	for l := 1; l <= len(data); l++ {
-		durable := TruncateTorn(data[:l])
+		durable := wal.TruncateTorn(data[:l])
 		if len(durable) == 0 {
 			continue
 		}
@@ -410,7 +410,7 @@ func TestJournalCorruptionSweep(t *testing.T) {
 	// legal crash artifact, not corruption.
 	bad := append([]byte(nil), data...)
 	bad[len(bad)-1] ^= 0x5a
-	if _, err := Recover(TruncateTorn(bad)); err != nil {
+	if _, err := Recover(wal.TruncateTorn(bad)); err != nil {
 		t.Fatalf("torn final record: %v", err)
 	}
 }

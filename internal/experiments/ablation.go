@@ -24,14 +24,11 @@ type AblationRow struct {
 // regularization/polish pipeline. Every variant is both predicted (model
 // objective) and replayed (measured elapsed seconds).
 func Ablation(cfg *Config) ([]AblationRow, error) {
-	w := cfg.trimOLAP(benchdb.OLAP163())
-	sys := fourDisks(w.Catalog.Objects)
-	see := layout.SEE(len(sys.Objects), len(sys.Devices))
-	_, inst, err := cfg.traceAndFit(sys, see, w)
+	s, err := cfg.scenario(benchdb.OLAP163(), nil, fourDisks()...)
 	if err != nil {
 		return nil, err
 	}
-	heuristic, err := layout.InitialLayout(inst)
+	heuristic, err := layout.InitialLayout(s.inst)
 	if err != nil {
 		return nil, err
 	}
@@ -40,47 +37,30 @@ func Ablation(cfg *Config) ([]AblationRow, error) {
 		name string
 		opt  core.Options
 	}{
-		{"transfer+multistart (default)", core.Options{
-			NLP:            nlp.Options{Seed: cfg.Seed, Workers: cfg.Workers},
-			InitialLayouts: []*layout.Layout{heuristic, see},
-		}},
-		{"transfer, heuristic init only", core.Options{
-			NLP:            nlp.Options{Seed: cfg.Seed, Workers: cfg.Workers},
-			InitialLayouts: []*layout.Layout{heuristic},
-		}},
-		{"transfer, SEE init only", core.Options{
-			NLP:            nlp.Options{Seed: cfg.Seed, Workers: cfg.Workers},
-			InitialLayouts: []*layout.Layout{see},
-		}},
+		{"transfer+multistart (default)", core.Options{InitialLayouts: []*layout.Layout{heuristic, s.see}}},
+		{"transfer, heuristic init only", core.Options{InitialLayouts: []*layout.Layout{heuristic}}},
+		{"transfer, SEE init only", core.Options{InitialLayouts: []*layout.Layout{s.see}}},
 		{"anneal", core.Options{
 			Solver:         core.SolverAnneal,
-			NLP:            nlp.Options{Seed: cfg.Seed, MaxIters: 20000, Workers: cfg.Workers},
+			NLP:            nlp.Options{MaxIters: 20000},
 			InitialLayouts: []*layout.Layout{heuristic},
 		}},
-		{"solver portfolio", core.Options{
-			Solver:         core.SolverPortfolio,
-			NLP:            nlp.Options{Seed: cfg.Seed, Workers: cfg.Workers},
-			InitialLayouts: []*layout.Layout{heuristic},
-		}},
+		{"solver portfolio", core.Options{Solver: core.SolverPortfolio, InitialLayouts: []*layout.Layout{heuristic}}},
 		{"no polish, single round", core.Options{
-			NLP:            nlp.Options{Seed: cfg.Seed, Workers: cfg.Workers},
-			InitialLayouts: []*layout.Layout{heuristic, see},
+			InitialLayouts: []*layout.Layout{heuristic, s.see},
 			SkipPolish:     true,
 			Rounds:         1,
 		}},
 	}
 
-	ev := layout.NewEvaluator(inst)
 	rows := []AblationRow{{
 		Variant:   "SEE baseline",
-		Predicted: ev.MaxUtilization(see),
+		Predicted: layout.NewEvaluator(s.inst).MaxUtilization(s.see),
+		Replayed:  s.seeElapsed,
 	}}
-	if res, err := replayOLAP(sys, see, w, cfg); err == nil {
-		rows[0].Replayed = res.Elapsed
-	}
-
 	for _, v := range variants {
-		adv, err := core.New(inst, v.opt)
+		v.opt.NLP.Seed, v.opt.NLP.Workers = cfg.Seed, cfg.Workers
+		adv, err := core.New(s.inst, v.opt)
 		if err != nil {
 			return nil, err
 		}
@@ -89,11 +69,9 @@ func Ablation(cfg *Config) ([]AblationRow, error) {
 			return nil, fmt.Errorf("experiments: ablation %q: %w", v.name, err)
 		}
 		row := AblationRow{Variant: v.name, Predicted: rec.FinalObjective}
-		res, err := replayOLAP(sys, rec.Final, w, cfg)
-		if err != nil {
+		if row.Replayed, err = s.elapsed(cfg, rec.Final); err != nil {
 			return nil, err
 		}
-		row.Replayed = res.Elapsed
 		rows = append(rows, row)
 	}
 	return rows, nil

@@ -8,7 +8,6 @@ import (
 	"dblayout/internal/autoadmin"
 	"dblayout/internal/benchdb"
 	"dblayout/internal/layout"
-	"dblayout/internal/replay"
 )
 
 // AutoAdminResult backs the Sec. 6.6 comparison (paper Fig. 20 and the
@@ -35,11 +34,12 @@ type AutoAdminResult struct {
 // intermediate result sizes by orders of magnitude) is injected as a volume
 // multiplier on the temporary tablespace.
 func AutoAdminStudy(cfg *Config) (*AutoAdminResult, error) {
-	w163 := cfg.trimOLAP(benchdb.OLAP163())
-	w863 := cfg.trimOLAP(benchdb.OLAP863())
-	catalog := w163.Catalog
-	sys := fourDisks(catalog.Objects)
-	res := &AutoAdminResult{}
+	s163, err := cfg.scenario(benchdb.OLAP163(), nil, fourDisks()...)
+	if err != nil {
+		return nil, err
+	}
+	inst, catalog := s163.inst, s163.olap.Catalog
+	res := &AutoAdminResult{Instance163: inst}
 
 	// AutoAdmin input: the SQL statements with optimizer-estimated I/O
 	// volumes. Each distinct query appears once (frequency is uniform).
@@ -47,7 +47,7 @@ func AutoAdminStudy(cfg *Config) (*AutoAdminResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	mult := make([]float64, len(catalog.Objects))
+	mult := make([]float64, inst.N())
 	for i := range mult {
 		mult[i] = 1
 	}
@@ -55,9 +55,9 @@ func AutoAdminStudy(cfg *Config) (*AutoAdminResult, error) {
 		mult[ti] = 25 // Q18 cardinality misestimate: temp volume inflated
 	}
 	start := time.Now()
-	aa, err := autoadmin.Recommend(queries, len(catalog.Objects), len(sys.Devices), autoadmin.Config{
-		Sizes:             instSizes(catalog.Objects),
-		Capacities:        sysCapacities(sys.Devices),
+	aa, err := autoadmin.Recommend(queries, inst.N(), inst.M(), autoadmin.Config{
+		Sizes:             inst.Sizes(),
+		Capacities:        inst.Capacities(),
 		VolumeMultipliers: mult,
 	})
 	res.AATime = time.Since(start)
@@ -66,72 +66,37 @@ func AutoAdminStudy(cfg *Config) (*AutoAdminResult, error) {
 	}
 	res.AALayout = aa
 
-	// OLAP1-63: SEE (traced for fitting), AutoAdmin, ours.
-	see := layout.SEE(len(catalog.Objects), len(sys.Devices))
-	see163, inst163, err := cfg.traceAndFit(sys, see, w163)
-	if err != nil {
-		return nil, err
+	// Per workload: SEE (traced for fitting), AutoAdmin, ours. OLAP8-63
+	// runs the same SQL at a different concurrency, so AutoAdmin reuses
+	// its layout while our advisor refits from the concurrent trace.
+	for i, w := range []struct {
+		w             *benchdb.OLAPWorkload
+		see, aa, ours *float64
+	}{
+		{benchdb.OLAP163(), &res.SEE163, &res.AA163, &res.Ours163},
+		{benchdb.OLAP863(), &res.SEE863, &res.AA863, &res.Ours863},
+	} {
+		s, err := cfg.scenario(w.w, nil, fourDisks()...)
+		if err != nil {
+			return nil, err
+		}
+		*w.see = s.seeElapsed
+		if *w.aa, err = s.elapsed(cfg, aa); err != nil {
+			return nil, err
+		}
+		start := time.Now()
+		rec, err := cfg.advise(s.inst)
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			res.OursTime = time.Since(start)
+		}
+		if *w.ours, err = s.elapsed(cfg, rec.Final); err != nil {
+			return nil, err
+		}
 	}
-	res.SEE163 = see163.Elapsed
-	res.Instance163 = inst163
-	aa163, err := replayOLAP(sys, aa, w163, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.AA163 = aa163.Elapsed
-	start = time.Now()
-	rec163, err := cfg.advise(inst163)
-	res.OursTime = time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	ours163, err := replayOLAP(sys, rec163.Final, w163, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.Ours163 = ours163.Elapsed
-
-	// OLAP8-63: AutoAdmin reuses the same layout (same SQL, different
-	// concurrency); our advisor refits from the concurrent trace.
-	see863, inst863, err := cfg.traceAndFit(sys, see, w863)
-	if err != nil {
-		return nil, err
-	}
-	res.SEE863 = see863.Elapsed
-	aa863, err := replayOLAP(sys, aa, w863, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.AA863 = aa863.Elapsed
-	rec863, err := cfg.advise(inst863)
-	if err != nil {
-		return nil, err
-	}
-	ours863, err := replayOLAP(sys, rec863.Final, w863, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.Ours863 = ours863.Elapsed
-
 	return res, nil
-}
-
-// instSizes extracts object sizes.
-func instSizes(objs []layout.Object) []int64 {
-	out := make([]int64, len(objs))
-	for i, o := range objs {
-		out[i] = o.Size
-	}
-	return out
-}
-
-// sysCapacities extracts device capacities from specs.
-func sysCapacities(devs []replay.DeviceSpec) []int64 {
-	out := make([]int64, len(devs))
-	for j, d := range devs {
-		out[j] = d.Capacity()
-	}
-	return out
 }
 
 // Fig20Table renders the comparison (layout plus elapsed times).

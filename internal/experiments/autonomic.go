@@ -94,14 +94,13 @@ type AutonomicResult struct {
 //     controller's state.
 func Autonomic(cfg *Config) (*AutonomicResult, error) {
 	sc := newDriftScenario(cfg.Quick)
-	sys := fourDisks(sc.catalog.Objects)
-	see := layout.SEE(len(sc.catalog.Objects), len(sys.Devices))
 
 	// 1. Steady-state model and the layout the controller starts on.
-	_, inst, err := cfg.traceAndFit(sys, see, sc.prefix)
+	s, err := cfg.scenario(sc.prefix, nil, fourDisks()...)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: autonomic steady trace: %w", err)
+		return nil, fmt.Errorf("experiments: autonomic: %w", err)
 	}
+	inst, sys := s.inst, s.sys
 	rec, err := cfg.advise(inst)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: autonomic initial advise: %w", err)
@@ -110,8 +109,7 @@ func Autonomic(cfg *Config) (*AutonomicResult, error) {
 
 	// 2. Calibration replay of the prefix under the initial layout.
 	wfitCal := rubicon.NewWindowed(names(sys), sc.refit, rubicon.Options{ActiveRates: true})
-	pre, err := replay.RunOLAP(sys, initial, sc.prefix, replay.Options{
-		Seed: cfg.Seed, Tracer: wfitCal, Metrics: cfg.Metrics, Logger: cfg.Logger})
+	pre, _, err := s.run(cfg, sys, initial, wfitCal)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: autonomic calibration: %w", err)
 	}
@@ -179,16 +177,7 @@ func Autonomic(cfg *Config) (*AutonomicResult, error) {
 			out.SteadyUtil, out.DriftUtil)
 	}
 	out.UtilThreshold = (out.SteadyUtil + out.DriftUtil) / 2
-	var maxOv float64
-	for _, f := range calFits[1:] {
-		if f.OverlapDistance > maxOv {
-			maxOv = f.OverlapDistance
-		}
-	}
-	out.OverlapThreshold = 3 * maxOv
-	if out.OverlapThreshold < 0.1 {
-		out.OverlapThreshold = 0.1
-	}
+	out.OverlapThreshold = overlapThreshold(calFits)
 	out.InitialDriftUtil = util(*lastDrifted, initial)
 
 	// 4. The controller, driving a simulated I/O surface built from the

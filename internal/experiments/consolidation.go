@@ -7,8 +7,6 @@ import (
 	"dblayout/internal/benchdb"
 	"dblayout/internal/core"
 	"dblayout/internal/layout"
-	"dblayout/internal/replay"
-	"dblayout/internal/rubicon"
 )
 
 // ConsolidationResult backs paper Figs. 15 and 16: two database instances
@@ -30,51 +28,25 @@ const consolidatedWarmup = 120.0
 // Consolidation runs the Sec. 6.3 consolidation study: 40 objects from two
 // databases laid out together on four identical disks.
 func Consolidation(cfg *Config) (*ConsolidationResult, error) {
-	olap := cfg.trimOLAP(benchdb.OLAP121())
-	oltp := benchdb.OLTP()
-	objects := append(append([]layout.Object{}, olap.Catalog.Objects...), oltp.Catalog.Objects...)
-	sys := fourDisks(objects)
-	see := layout.SEE(len(objects), len(sys.Devices))
-
-	// Whole-trace rates: the OLTP side runs continuously, so unlike the
-	// pure-OLAP studies there is no burst structure to recover, and
-	// active-window rates would overweight the OLAP phases against the
-	// steady transaction load.
-	fitter := rubicon.NewFitter(names(sys), rubicon.Options{})
-	seeOLAP, seeOLTP, err := replay.RunConsolidated(sys, see, olap, oltp, consolidatedWarmup,
-		replay.Options{Seed: cfg.Seed, Tracer: fitter})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: consolidation SEE: %w", err)
-	}
-	set, err := fitter.Fit()
+	s, err := cfg.scenario(benchdb.OLAP121(), benchdb.OLTP(), fourDisks()...)
 	if err != nil {
 		return nil, err
 	}
-	inst := &layout.Instance{
-		Objects:   objects,
-		Targets:   sys.Targets(cfg.Cache, cfg.Grid),
-		Workloads: set,
-	}
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	rec, err := cfg.advise(inst)
+	rec, err := cfg.advise(s.inst)
 	if err != nil {
 		return nil, err
 	}
-	optOLAP, optOLTP, err := replay.RunConsolidated(sys, rec.Final, olap, oltp, consolidatedWarmup,
-		replay.Options{Seed: cfg.Seed})
+	optOLAP, optOLTP, err := s.run(cfg, s.sys, rec.Final, nil)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: consolidation optimized: %w", err)
 	}
-
 	return &ConsolidationResult{
-		SEEOLAP:  seeOLAP.Elapsed,
+		SEEOLAP:  s.seeElapsed,
 		OptOLAP:  optOLAP.Elapsed,
-		SEETpmC:  seeOLTP.TpmC,
+		SEETpmC:  s.seeTpmC,
 		OptTpmC:  optOLTP.TpmC,
 		Rec:      rec,
-		Instance: inst,
+		Instance: s.inst,
 	}, nil
 }
 

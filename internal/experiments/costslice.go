@@ -20,9 +20,7 @@ type CostSliceSeries struct {
 // Fig8CostSlice calibrates the disk cost model and extracts the 8 KB read
 // slice, one series per calibrated run count.
 func Fig8CostSlice(cfg *Config) ([]CostSliceSeries, error) {
-	spec := replay.Disk15K("fig8")
-	model := cfg.Cache.Get(spec.ModelKey(), spec.Factory(), cfg.Grid)
-
+	model := Fig8CostSliceModel(cfg)
 	si := -1
 	for i, s := range model.Read.Sizes {
 		if s == 8192 {
@@ -73,8 +71,9 @@ func Fig8Table(series []CostSliceSeries) string {
 // Fig8CostSliceModel returns the calibrated disk model behind the Fig. 8
 // slice, for shape checks.
 func Fig8CostSliceModel(cfg *Config) *costmodel.Model {
+	cache, grid := cfg.calibration()
 	spec := replay.Disk15K("fig8")
-	return cfg.Cache.Get(spec.ModelKey(), spec.Factory(), cfg.Grid)
+	return cache.Get(spec.ModelKey(), spec.Factory(), grid)
 }
 
 // Fig8Check verifies the qualitative Fig. 8 properties on a calibrated

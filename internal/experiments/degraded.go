@@ -6,10 +6,9 @@ import (
 	"strings"
 	"time"
 
+	"dblayout"
 	"dblayout/internal/benchdb"
 	"dblayout/internal/core"
-	"dblayout/internal/layout"
-	"dblayout/internal/nlp"
 	"dblayout/internal/replay"
 	"dblayout/internal/storage"
 )
@@ -53,8 +52,6 @@ type DegradedResult struct {
 //  3. fail the most-loaded storage target outright, run RecommendRepair,
 //     and replay the repaired layout on the degraded system.
 func Degraded(cfg *Config) (*DegradedResult, error) {
-	w := cfg.trimOLAP(benchdb.OLAP163())
-	objects := w.Catalog.Objects
 	devices := func() []replay.DeviceSpec {
 		return []replay.DeviceSpec{
 			replay.RAID5Disks("raid5", 3),
@@ -62,31 +59,27 @@ func Degraded(cfg *Config) (*DegradedResult, error) {
 			replay.Disk15K("disk4"),
 		}
 	}
-	sys := &replay.System{Objects: objects, Devices: devices()}
-
-	see := layout.SEE(len(objects), len(sys.Devices))
-	_, inst, err := cfg.traceAndFit(sys, see, w)
+	s, err := cfg.scenario(benchdb.OLAP163(), nil, devices()...)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: degraded trace: %w", err)
+		return nil, fmt.Errorf("experiments: degraded: %w", err)
 	}
+	inst := s.inst
 	rec, err := cfg.advise(inst)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: degraded advise: %w", err)
 	}
 
 	out := &DegradedResult{}
-	healthy, err := replayOLAP(sys, rec.Final, w, cfg)
-	if err != nil {
+	if out.Healthy, err = s.elapsed(cfg, rec.Final); err != nil {
 		return nil, err
 	}
-	out.Healthy = healthy.Elapsed
 
 	// Replay the same layout with RAID5 member 0 dead from the start.
-	degSys := &replay.System{Objects: objects, Devices: devices()}
+	degSys := &replay.System{Objects: inst.Objects, Devices: devices()}
 	degSys.Devices[0].RAID.MemberFaults = map[int]storage.FaultSchedule{
 		0: {Fail: &storage.FailFault{At: 0}},
 	}
-	degRes, err := replayOLAP(degSys, rec.Final, w, cfg)
+	degRes, _, err := s.run(cfg, degSys, rec.Final, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -103,8 +96,7 @@ func Degraded(cfg *Config) (*DegradedResult, error) {
 	}
 	out.FailedTarget = inst.Targets[failed].Name
 	start := time.Now()
-	rep, err := core.RecommendRepair(context.Background(), inst, rec.Final, []int{failed},
-		core.Options{NLP: nlp.Options{Seed: cfg.Seed, Trace: cfg.Trace, Workers: cfg.Workers}, Logger: cfg.Logger})
+	rep, err := dblayout.RecommendRepair(context.Background(), problem(inst), rec.Final, []int{failed}, cfg.options())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: repair: %w", err)
 	}
@@ -113,7 +105,7 @@ func Degraded(cfg *Config) (*DegradedResult, error) {
 
 	// Replay the repaired layout with the failed target actually dead:
 	// nothing may touch it.
-	repSys := &replay.System{Objects: objects, Devices: devices()}
+	repSys := &replay.System{Objects: inst.Objects, Devices: devices()}
 	if r := repSys.Devices[failed].RAID; r != nil {
 		r.MemberFaults = map[int]storage.FaultSchedule{}
 		for i := 0; i < r.Members; i++ {
@@ -122,7 +114,7 @@ func Degraded(cfg *Config) (*DegradedResult, error) {
 	} else {
 		repSys.Devices[failed].Faults = &storage.FaultSchedule{Fail: &storage.FailFault{At: 0}}
 	}
-	repRes, err := replayOLAP(repSys, rep.Layout, w, cfg)
+	repRes, _, err := s.run(cfg, repSys, rep.Layout, nil)
 	if err != nil {
 		return nil, err
 	}

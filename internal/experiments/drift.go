@@ -10,7 +10,6 @@ import (
 	"dblayout/internal/obs"
 	"dblayout/internal/replay"
 	"dblayout/internal/rubicon"
-	"dblayout/internal/storage"
 )
 
 // DriftResult reports the diurnal-drift detection study: an OLTP-style
@@ -60,7 +59,6 @@ type DriftResult struct {
 // reporting phase (sequential scans of orders+history). The phase boundary
 // is the drift the detector must find.
 type driftScenario struct {
-	catalog *benchdb.Catalog
 	// prefix is the steady-state phase alone; full is steady state
 	// followed by the shift. Both replay phase one identically under the
 	// same seed, so the prefix run's elapsed time IS the full run's shift
@@ -99,20 +97,21 @@ func newDriftScenario(quick bool) *driftScenario {
 		}
 	}
 	return &driftScenario{
-		catalog: catalog,
-		prefix:  mk("diurnal-prefix", oltp),
-		full:    mk("diurnal", oltp, olap),
-		window:  window,
-		refit:   4 * window,
+		prefix: mk("diurnal-prefix", oltp),
+		full:   mk("diurnal", oltp, olap),
+		window: window,
+		refit:  4 * window,
 	}
 }
 
 // Drift runs the diurnal OLTP→OLAP drift study:
 //
-//  1. replay the steady-state prefix alone, fitting the workload model and
-//     recording per-window observed utilizations — the calibration run. Its
-//     elapsed time is, by replay determinism, the shift time of the full
-//     run, and its window errors set the detection thresholds;
+//  1. take the steady-state model from the prefix's scenario (traced under
+//     SEE and fitted, shared with the autonomic study), then replay the
+//     prefix alone recording per-window observed utilizations — the
+//     calibration run. Its elapsed time is, by replay determinism, the
+//     shift time of the full run, and its window errors set the detection
+//     thresholds;
 //  2. replay the full diurnal workload with the windowed model-validation
 //     observer and two drift detectors attached — prediction error per
 //     device, and overlap-matrix distance between successive rubicon refit
@@ -121,17 +120,19 @@ func newDriftScenario(quick bool) *driftScenario {
 //     event fired during the steady-state prefix.
 func Drift(cfg *Config) (*DriftResult, error) {
 	sc := newDriftScenario(cfg.Quick)
-	sys := fourDisks(sc.catalog.Objects)
-	see := layout.SEE(len(sc.catalog.Objects), len(sys.Devices))
+	s, err := cfg.scenario(sc.prefix, nil, fourDisks()...)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: drift: %w", err)
+	}
+	sys, see := s.sys, s.see
 
-	// 1. Calibration: fit the steady-state model and measure its per-window
+	// 1. Calibration: measure the steady-state model's per-window
 	// validation error under the steady workload.
-	fitter := rubicon.NewFitter(names(sys), rubicon.Options{ActiveRates: true})
 	wfitCal := rubicon.NewWindowed(names(sys), sc.refit, rubicon.Options{ActiveRates: true})
 	calReg := obs.NewRegistry()
 	pre, err := replay.RunOLAP(sys, see, sc.prefix, replay.Options{
 		Seed:    cfg.Seed,
-		Tracer:  storage.MultiTracer(fitter, wfitCal),
+		Tracer:  wfitCal,
 		Metrics: calReg,
 		Logger:  cfg.Logger,
 		Windows: &replay.WindowConfig{Size: sc.window},
@@ -139,19 +140,7 @@ func Drift(cfg *Config) (*DriftResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: drift calibration: %w", err)
 	}
-	set, err := fitter.Fit()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: drift fit: %w", err)
-	}
-	inst := &layout.Instance{
-		Objects:   sc.catalog.Objects,
-		Targets:   sys.Targets(cfg.Cache, cfg.Grid),
-		Workloads: set,
-	}
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	predicted := layout.NewEvaluator(inst).Utilizations(see)
+	predicted := layout.NewEvaluator(s.inst).Utilizations(see)
 
 	out := &DriftResult{
 		WindowSize: sc.window,
@@ -178,8 +167,8 @@ func Drift(cfg *Config) (*DriftResult, error) {
 		if bias := math.Abs(snap.Mean - predicted[j]); bias > out.SteadyBias {
 			out.SteadyBias = bias
 		}
-		for _, s := range snap.Samples {
-			if r := math.Abs(s.V - snap.Mean); r > maxResid {
+		for _, w := range snap.Samples {
+			if r := math.Abs(w.V - snap.Mean); r > maxResid {
 				maxResid = r
 			}
 		}
@@ -192,16 +181,7 @@ func Drift(cfg *Config) (*DriftResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: drift calibration refits: %w", err)
 	}
-	var maxOv float64
-	for _, f := range calFits[1:] {
-		if f.OverlapDistance > maxOv {
-			maxOv = f.OverlapDistance
-		}
-	}
-	out.OverlapThreshold = 3 * maxOv
-	if out.OverlapThreshold < 0.1 {
-		out.OverlapThreshold = 0.1
-	}
+	out.OverlapThreshold = overlapThreshold(calFits)
 
 	// 2. The monitored run: full diurnal workload, detectors armed.
 	reg := cfg.Metrics
@@ -303,4 +283,20 @@ func DriftTable(r *DriftResult) string {
 		fmt.Fprintf(&sb, "overlap-matrix drift NOT detected\n")
 	}
 	return sb.String()
+}
+
+// overlapThreshold is the overlap-distance trigger level calibrated on a
+// steady run's refit windows: 3x the largest distance between successive
+// steady windows (the first window has no predecessor), at least 0.1.
+func overlapThreshold(steady []rubicon.WindowFit) float64 {
+	var maxOv float64
+	for i := 1; i < len(steady); i++ {
+		if d := steady[i].OverlapDistance; d > maxOv {
+			maxOv = d
+		}
+	}
+	if t := 3 * maxOv; t > 0.1 {
+		return t
+	}
+	return 0.1
 }

@@ -11,9 +11,12 @@ import (
 // calibrate, advise, replay) at reduced scale so the suite stays fast. The
 // paper-scale runs live in full_test.go and are skipped with -short.
 
+// quick is the Config the quick tests share, so they calibrate each model
+// and trace each study system once.
+var quick = NewQuickConfig()
+
 func TestQuickHomogeneous(t *testing.T) {
-	cfg := NewQuickConfig()
-	runs, err := Homogeneous(cfg)
+	runs, err := Homogeneous(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +53,7 @@ func TestQuickHomogeneous(t *testing.T) {
 }
 
 func TestQuickConsolidation(t *testing.T) {
-	cfg := NewQuickConfig()
-	res, err := Consolidation(cfg)
+	res, err := Consolidation(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +72,7 @@ func TestQuickConsolidation(t *testing.T) {
 }
 
 func TestQuickHeterogeneous(t *testing.T) {
-	cfg := NewQuickConfig()
-	rows, err := Heterogeneous(cfg)
+	rows, err := Heterogeneous(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +101,7 @@ func TestQuickHeterogeneous(t *testing.T) {
 }
 
 func TestQuickSSD(t *testing.T) {
-	cfg := NewQuickConfig()
-	rows, err := SSDStudy(cfg)
+	rows, err := SSDStudy(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +127,7 @@ func TestQuickSSD(t *testing.T) {
 }
 
 func TestQuickTiming(t *testing.T) {
-	cfg := NewQuickConfig()
-	rows, err := Timing(cfg)
+	rows, err := Timing(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +148,7 @@ func TestQuickTiming(t *testing.T) {
 }
 
 func TestQuickAutoAdmin(t *testing.T) {
-	cfg := NewQuickConfig()
-	res, err := AutoAdminStudy(cfg)
+	res, err := AutoAdminStudy(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +166,7 @@ func TestQuickAutoAdmin(t *testing.T) {
 }
 
 func TestQuickMigration(t *testing.T) {
-	cfg := NewQuickConfig()
-	res, err := Migration(cfg)
+	res, err := Migration(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +209,7 @@ func TestQuickMigration(t *testing.T) {
 }
 
 func TestQuickFig8(t *testing.T) {
-	cfg := NewQuickConfig()
-	series, err := Fig8CostSlice(cfg)
+	series, err := Fig8CostSlice(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +217,7 @@ func TestQuickFig8(t *testing.T) {
 		t.Fatal("no cost-slice series")
 	}
 	// Qualitative Fig. 8 shape on the calibrated model.
-	spec := Fig8CostSliceModel(cfg)
+	spec := Fig8CostSliceModel(quick)
 	if err := Fig8Check(spec); err != nil {
 		t.Errorf("Fig. 8 shape violated: %v", err)
 	}
@@ -231,8 +227,7 @@ func TestQuickFig8(t *testing.T) {
 }
 
 func TestQuickAblation(t *testing.T) {
-	cfg := NewQuickConfig()
-	rows, err := Ablation(cfg)
+	rows, err := Ablation(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,10 +270,10 @@ func TestQuickAblation(t *testing.T) {
 }
 
 func TestQuickDrift(t *testing.T) {
-	cfg := NewQuickConfig()
+	cfg := *quick
 	var events bytes.Buffer
 	cfg.DriftEvents = &events
-	res, err := Drift(cfg)
+	res, err := Drift(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,9 +316,40 @@ func TestQuickDrift(t *testing.T) {
 	}
 }
 
-func TestQuickAutonomic(t *testing.T) {
+// TestScenariosTracedOnce runs four studies on one fresh Config. Between
+// them they use three systems, each traced once: OLAP1-63 and OLAP8-63 on
+// four disks (Homogeneous, Ablation, AutoAdminStudy, Timing) and the
+// consolidation (Timing).
+func TestScenariosTracedOnce(t *testing.T) {
 	cfg := NewQuickConfig()
-	res, err := Autonomic(cfg)
+	runs, err := Homogeneous(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Ablation(cfg); err != nil {
+		t.Fatal(err)
+	}
+	aa, err := AutoAdminStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Timing(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(cfg.memo.scenarios); n != 3 {
+		t.Errorf("traced %d systems, want 3", n)
+	}
+	if aa.Instance163 != runs[0].Instance {
+		t.Error("AutoAdminStudy fitted OLAP1-63 again instead of reusing Homogeneous' instance")
+	}
+	if aa.SEE163 != runs[0].SEEElapsed || aa.SEE863 != runs[1].SEEElapsed {
+		t.Errorf("SEE baselines differ: %v/%v against %v/%v",
+			aa.SEE163, aa.SEE863, runs[0].SEEElapsed, runs[1].SEEElapsed)
+	}
+}
+
+func TestQuickAutonomic(t *testing.T) {
+	res, err := Autonomic(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,8 +389,7 @@ func TestQuickAutonomic(t *testing.T) {
 }
 
 func TestQuickChaos(t *testing.T) {
-	cfg := NewQuickConfig()
-	rep, err := Chaos(cfg, 4)
+	rep, err := Chaos(quick, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,8 +405,7 @@ func TestQuickChaos(t *testing.T) {
 }
 
 func TestQuickFleet(t *testing.T) {
-	cfg := NewQuickConfig()
-	rows, err := Fleet(cfg)
+	rows, err := Fleet(quick)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,15 @@ import "testing"
 // They are skipped with -short; the quick variants in experiments_test.go
 // cover the same code paths at reduced scale.
 
+// full is the Config the paper-scale tests share, so they calibrate each
+// default-grid model and trace each study system once.
+var full = NewConfig()
+
 func TestFullHeterogeneous(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale experiment")
 	}
-	rows, err := Heterogeneous(NewConfig())
+	rows, err := Heterogeneous(full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +25,7 @@ func TestFullSSD(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale experiment")
 	}
-	rows, err := SSDStudy(NewConfig())
+	rows, err := SSDStudy(full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +36,7 @@ func TestFullConsolidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale experiment")
 	}
-	res, err := Consolidation(NewConfig())
+	res, err := Consolidation(full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +47,7 @@ func TestFullAutoAdmin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale experiment")
 	}
-	res, err := AutoAdminStudy(NewConfig())
+	res, err := AutoAdminStudy(full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +58,7 @@ func TestFullTiming(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale experiment")
 	}
-	rows, err := Timing(NewConfig())
+	rows, err := Timing(full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +69,7 @@ func TestFullFig8(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale experiment")
 	}
-	cfg := NewConfig()
-	series, err := Fig8CostSlice(cfg)
+	series, err := Fig8CostSlice(full)
 	if err != nil {
 		t.Fatal(err)
 	}

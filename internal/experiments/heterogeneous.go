@@ -31,76 +31,53 @@ type HeteroRow struct {
 // configurations, plus the homogeneous "1-1-1-1" reference, all under
 // OLAP8-63.
 func Heterogeneous(cfg *Config) ([]HeteroRow, error) {
-	w := cfg.trimOLAP(benchdb.OLAP863())
-	objects := w.Catalog.Objects
-
 	configs := []struct {
 		name    string
 		devices []replay.DeviceSpec
+		// iso is the config's kind-isolation baseline, if any, and col
+		// the row column its replay fills.
+		iso *layout.KindAssignment
+		col func(*HeteroRow) *float64
 	}{
-		{"3-1", []replay.DeviceSpec{replay.RAID0Disks("raid3", 3), replay.Disk15K("disk3")}},
-		{"2-1-1", []replay.DeviceSpec{replay.RAID0Disks("raid2", 2), replay.Disk15K("disk2"), replay.Disk15K("disk3")}},
-		{"1-1-1-1", []replay.DeviceSpec{replay.Disk15K("disk0"), replay.Disk15K("disk1"), replay.Disk15K("disk2"), replay.Disk15K("disk3")}},
+		// Tables on the 3-disk RAID0, everything else on the remaining
+		// disk.
+		{"3-1", []replay.DeviceSpec{replay.RAID0Disks("raid3", 3), replay.Disk15K("disk3")},
+			&layout.KindAssignment{ByKind: map[layout.ObjectKind][]int{layout.KindTable: {0}}, Default: []int{1}},
+			func(r *HeteroRow) *float64 { return &r.IsolateTables }},
+		// Tables on the 2-disk RAID0, indexes on one single disk,
+		// temporary space on the other.
+		{"2-1-1", []replay.DeviceSpec{replay.RAID0Disks("raid2", 2), replay.Disk15K("disk2"), replay.Disk15K("disk3")},
+			&layout.KindAssignment{
+				ByKind:  map[layout.ObjectKind][]int{layout.KindTable: {0}, layout.KindIndex: {1}, layout.KindTemp: {2}},
+				Default: []int{2},
+			},
+			func(r *HeteroRow) *float64 { return &r.IsolateTablesIndexes }},
+		{"1-1-1-1", fourDisks(), nil, nil},
 	}
 
 	var rows []HeteroRow
 	for _, c := range configs {
-		sys := &replay.System{Objects: objects, Devices: c.devices}
-		row := HeteroRow{Config: c.name, IsolateTables: math.NaN(), IsolateTablesIndexes: math.NaN()}
-
-		see := layout.SEE(len(objects), len(c.devices))
-		seeRes, inst, err := cfg.traceAndFit(sys, see, w)
+		s, err := cfg.scenario(benchdb.OLAP863(), nil, c.devices...)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s SEE: %w", c.name, err)
+			return nil, fmt.Errorf("experiments: %s: %w", c.name, err)
 		}
-		row.SEE = seeRes.Elapsed
-
-		switch c.name {
-		case "3-1":
-			// Tables on the 3-disk RAID0, everything else on the
-			// remaining disk.
-			iso, err := layout.ByKind(inst, layout.KindAssignment{
-				ByKind:  map[layout.ObjectKind][]int{layout.KindTable: {0}},
-				Default: []int{1},
-			})
+		row := HeteroRow{Config: c.name, SEE: s.seeElapsed, IsolateTables: math.NaN(), IsolateTablesIndexes: math.NaN()}
+		if c.iso != nil {
+			iso, err := layout.ByKind(s.inst, *c.iso)
 			if err != nil {
 				return nil, err
 			}
-			res, err := replayOLAP(sys, iso, w, cfg)
-			if err != nil {
+			if *c.col(&row), err = s.elapsed(cfg, iso); err != nil {
 				return nil, err
 			}
-			row.IsolateTables = res.Elapsed
-		case "2-1-1":
-			// Tables on the 2-disk RAID0, indexes on one single
-			// disk, temporary space on the other.
-			iso, err := layout.ByKind(inst, layout.KindAssignment{
-				ByKind: map[layout.ObjectKind][]int{
-					layout.KindTable: {0},
-					layout.KindIndex: {1},
-					layout.KindTemp:  {2},
-				},
-				Default: []int{2},
-			})
-			if err != nil {
-				return nil, err
-			}
-			res, err := replayOLAP(sys, iso, w, cfg)
-			if err != nil {
-				return nil, err
-			}
-			row.IsolateTablesIndexes = res.Elapsed
 		}
-
-		rec, err := cfg.advise(inst)
+		rec, err := cfg.advise(s.inst)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s advise: %w", c.name, err)
 		}
-		optRes, err := replayOLAP(sys, rec.Final, w, cfg)
-		if err != nil {
+		if row.Optimized, err = s.elapsed(cfg, rec.Final); err != nil {
 			return nil, err
 		}
-		row.Optimized = optRes.Elapsed
 		rows = append(rows, row)
 	}
 	return rows, nil

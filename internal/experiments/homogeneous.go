@@ -32,7 +32,6 @@ type WorkloadRun struct {
 func Homogeneous(cfg *Config) ([]*WorkloadRun, error) {
 	var out []*WorkloadRun
 	for _, w := range []*benchdb.OLAPWorkload{benchdb.OLAP163(), benchdb.OLAP863()} {
-		w = cfg.trimOLAP(w)
 		run, err := homogeneousOne(cfg, w)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", w.Name, err)
@@ -43,33 +42,30 @@ func Homogeneous(cfg *Config) ([]*WorkloadRun, error) {
 }
 
 func homogeneousOne(cfg *Config, w *benchdb.OLAPWorkload) (*WorkloadRun, error) {
-	sys := fourDisks(w.Catalog.Objects)
-	see := layout.SEE(len(sys.Objects), len(sys.Devices))
-
-	seeRes, inst, err := cfg.traceAndFit(sys, see, w)
+	s, err := cfg.scenario(w, nil, fourDisks()...)
 	if err != nil {
 		return nil, err
 	}
-	rec, err := cfg.advise(inst)
+	rec, err := cfg.advise(s.inst)
 	if err != nil {
 		return nil, err
 	}
-	optRes, err := replayOLAP(sys, rec.Final, w, cfg)
+	opt, err := s.elapsed(cfg, rec.Final)
 	if err != nil {
 		return nil, err
 	}
 
-	ev := layout.NewEvaluator(inst)
+	ev := layout.NewEvaluator(s.inst)
 	return &WorkloadRun{
 		Workload:    w.Name,
-		SEEElapsed:  seeRes.Elapsed,
-		OptElapsed:  optRes.Elapsed,
+		SEEElapsed:  s.seeElapsed,
+		OptElapsed:  opt,
 		Rec:         rec,
-		SEEUtil:     ev.Utilizations(see),
+		SEEUtil:     ev.Utilizations(s.see),
 		InitUtil:    ev.Utilizations(rec.Initial),
 		SolverUtil:  ev.Utilizations(rec.Solver),
 		RegularUtil: ev.Utilizations(rec.Final),
-		Instance:    inst,
+		Instance:    s.inst,
 	}, nil
 }
 

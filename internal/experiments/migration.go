@@ -8,11 +8,10 @@ import (
 	"strings"
 	"time"
 
+	"dblayout"
 	"dblayout/internal/benchdb"
-	"dblayout/internal/core"
 	"dblayout/internal/layout"
 	"dblayout/internal/migrate"
-	"dblayout/internal/nlp"
 	"dblayout/internal/replay"
 	"dblayout/internal/storage"
 )
@@ -95,15 +94,11 @@ var migrationRates = []float64{0, 32, 8}
 //     layout, RecommendRepair replans around the dead disk, and a
 //     reconstruction-mode execution evacuates it.
 func Migration(cfg *Config) (*MigrationResult, error) {
-	w := cfg.trimOLAP(benchdb.OLAP163())
-	objects := w.Catalog.Objects
-	sys := fourDisks(objects)
-	see := layout.SEE(len(objects), len(sys.Devices))
-
-	base, inst, err := cfg.traceAndFit(sys, see, w)
+	s, err := cfg.scenario(benchdb.OLAP163(), nil, fourDisks()...)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: migration trace: %w", err)
+		return nil, fmt.Errorf("experiments: migration: %w", err)
 	}
+	inst, see, w := s.inst, s.see, s.olap
 	rec, err := cfg.advise(inst)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: migration advise: %w", err)
@@ -111,7 +106,7 @@ func Migration(cfg *Config) (*MigrationResult, error) {
 	sizes, capacities := inst.Sizes(), inst.Capacities()
 	scratch := migrate.AutoScratch(see, rec.Final, sizes, capacities)
 
-	out := &MigrationResult{BaselineElapsed: base.Elapsed}
+	out := &MigrationResult{BaselineElapsed: s.seeElapsed}
 	if scratch.Bytes > 0 {
 		out.ScratchTarget = inst.Targets[scratch.Target].Name
 		out.ScratchMiB = float64(scratch.Bytes) / (1 << 20)
@@ -125,7 +120,7 @@ func Migration(cfg *Config) (*MigrationResult, error) {
 			name = fmt.Sprintf("%.0f MiB/s", rate)
 		}
 		var journal bytes.Buffer
-		eres, err := migrate.Execute(fourDisks(objects), see, rec.Final, w,
+		eres, err := migrate.Execute(s.sys, see, rec.Final, w,
 			replay.Options{Seed: cfg.Seed, Metrics: cfg.Metrics, Logger: cfg.Logger},
 			migrate.Options{
 				BytesPerSec: rate * (1 << 20),
@@ -143,8 +138,8 @@ func Migration(cfg *Config) (*MigrationResult, error) {
 		if script == nil {
 			script = eres.Script
 			out.Moves, out.Steps = len(eres.Plan), len(eres.Script)
-			for _, s := range eres.Script {
-				if s.Kind == migrate.StepStageIn {
+			for _, st := range eres.Script {
+				if st.Kind == migrate.StepStageIn {
 					out.Staged++
 				}
 			}
@@ -168,11 +163,9 @@ func Migration(cfg *Config) (*MigrationResult, error) {
 	}
 
 	// The optimized layout after migration, with the system to itself.
-	post, err := replayOLAP(fourDisks(objects), rec.Final, w, cfg)
-	if err != nil {
+	if out.PostElapsed, err = s.elapsed(cfg, rec.Final); err != nil {
 		return nil, err
 	}
-	out.PostElapsed = post.Elapsed
 
 	// Destination-failure scenario: kill the destination of the final
 	// script step partway through the unthrottled copy, so at least that
@@ -180,7 +173,7 @@ func Migration(cfg *Config) (*MigrationResult, error) {
 	fault := script[len(script)-1].Move.To
 	out.FaultTarget = inst.Targets[fault].Name
 	out.FaultAt = 0.4 * out.Scenarios[0].MigrationElapsed
-	fsys := fourDisks(objects)
+	fsys := &replay.System{Objects: inst.Objects, Devices: fourDisks()}
 	fsys.Devices[fault].Faults = &storage.FaultSchedule{Fail: &storage.FailFault{At: out.FaultAt}}
 	var fjournal bytes.Buffer
 	fres, err := migrate.Execute(fsys, see, rec.Final, w,
@@ -194,8 +187,7 @@ func Migration(cfg *Config) (*MigrationResult, error) {
 
 	// Replan around the dead disk and evacuate it in reconstruction mode.
 	start := time.Now()
-	rep, err := core.RecommendRepair(context.Background(), inst, m.Layout, m.FailedTargets,
-		core.Options{NLP: nlp.Options{Seed: cfg.Seed, Trace: cfg.Trace, Workers: cfg.Workers}, Logger: cfg.Logger})
+	rep, err := dblayout.RecommendRepair(context.Background(), problem(inst), m.Layout, m.FailedTargets, cfg.options())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: migration replan: %w", err)
 	}
@@ -203,7 +195,7 @@ func Migration(cfg *Config) (*MigrationResult, error) {
 	out.RepairMoves = len(rep.Plan)
 	out.RepairMiB = float64(rep.PlanBytes) / (1 << 20)
 
-	rsys := fourDisks(objects)
+	rsys := &replay.System{Objects: inst.Objects, Devices: fourDisks()}
 	rsys.Devices[fault].Faults = &storage.FaultSchedule{Fail: &storage.FailFault{At: 0}}
 	// Neither the aborted mid-migration layout nor a repair of it needs to
 	// be regular, and the LVM mapper only implements regular layouts. The

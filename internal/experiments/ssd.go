@@ -28,46 +28,29 @@ var SSDCapacitiesGB = []int{32, 10, 6, 4}
 
 // SSDStudy runs the Sec. 6.4 disk+SSD heterogeneity study.
 func SSDStudy(cfg *Config) ([]SSDRow, error) {
-	w := cfg.trimOLAP(benchdb.OLAP863())
-	objects := w.Catalog.Objects
-
 	var rows []SSDRow
 	for _, capGB := range SSDCapacitiesGB {
-		devices := []replay.DeviceSpec{
-			replay.Disk15K("disk0"), replay.Disk15K("disk1"),
-			replay.Disk15K("disk2"), replay.Disk15K("disk3"),
-			replay.SSD("ssd", int64(capGB)<<30),
-		}
-		sys := &replay.System{Objects: objects, Devices: devices}
-		row := SSDRow{CapacityGB: capGB, AllOnSSD: math.NaN()}
-
-		see := layout.SEE(len(objects), len(devices))
-		seeRes, inst, err := cfg.traceAndFit(sys, see, w)
+		s, err := cfg.scenario(benchdb.OLAP863(), nil, append(fourDisks(), replay.SSD("ssd", int64(capGB)<<30))...)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: ssd %dGB SEE: %w", capGB, err)
+			return nil, fmt.Errorf("experiments: ssd %dGB: %w", capGB, err)
 		}
-		row.SEE = seeRes.Elapsed
+		row := SSDRow{CapacityGB: capGB, SEE: s.seeElapsed, AllOnSSD: math.NaN()}
 
 		// All-objects-on-SSD baseline, where capacity permits (the
 		// paper reports it for the 32 GB configuration only).
 		if capGB == 32 {
-			all := layout.AllOnOne(len(objects), len(devices), 4)
-			res, err := replayOLAP(sys, all, w, cfg)
-			if err != nil {
+			if row.AllOnSSD, err = s.elapsed(cfg, layout.AllOnOne(s.inst.N(), s.inst.M(), 4)); err != nil {
 				return nil, err
 			}
-			row.AllOnSSD = res.Elapsed
 		}
 
-		rec, err := cfg.advise(inst)
+		rec, err := cfg.advise(s.inst)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ssd %dGB advise: %w", capGB, err)
 		}
-		optRes, err := replayOLAP(sys, rec.Final, w, cfg)
-		if err != nil {
+		if row.Optimized, err = s.elapsed(cfg, rec.Final); err != nil {
 			return nil, err
 		}
-		row.Optimized = optRes.Elapsed
 		rows = append(rows, row)
 	}
 	return rows, nil

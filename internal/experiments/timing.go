@@ -7,9 +7,7 @@ import (
 
 	"dblayout/internal/benchdb"
 	"dblayout/internal/layout"
-	"dblayout/internal/replay"
 	"dblayout/internal/rome"
-	"dblayout/internal/rubicon"
 )
 
 // TimingRow is one problem-size point of paper Fig. 19: advisor running time
@@ -29,14 +27,15 @@ type TimingRow struct {
 // (N=40, M=4..40), and replicated consolidation workloads (N=80..160,
 // M=10).
 func Timing(cfg *Config) ([]TimingRow, error) {
-	olapInst, err := fittedOLAP863(cfg)
+	olap, err := cfg.scenario(benchdb.OLAP863(), nil, fourDisks()...)
 	if err != nil {
 		return nil, err
 	}
-	consSet, consObjects, err := fittedConsolidation(cfg)
+	cons, err := cfg.scenario(benchdb.OLAP121(), benchdb.OLTP(), fourDisks()...)
 	if err != nil {
 		return nil, err
 	}
+	consSet, consObjects := cons.inst.Workloads, cons.inst.Objects
 
 	type point struct {
 		name string
@@ -45,7 +44,7 @@ func Timing(cfg *Config) ([]TimingRow, error) {
 		m    int
 	}
 	points := []point{
-		{"OLAP8-63", olapInst.Workloads, olapInst.Objects, 4},
+		{"OLAP8-63", olap.inst.Workloads, olap.inst.Objects, 4},
 		{"consolidation", consSet, consObjects, 4},
 		{"consolidation", consSet, consObjects, 10},
 		{"consolidation", consSet, consObjects, 20},
@@ -58,8 +57,6 @@ func Timing(cfg *Config) ([]TimingRow, error) {
 		points = points[:3]
 	}
 
-	diskModel := cfg.Cache.Get(replay.Disk15K("d").ModelKey(), replay.Disk15K("d").Factory(), cfg.Grid)
-
 	var rows []TimingRow
 	for _, p := range points {
 		targets := make([]*layout.Target, p.m)
@@ -71,7 +68,7 @@ func Timing(cfg *Config) ([]TimingRow, error) {
 				// modelled) targets, as the paper's synthetic
 				// scaling implies.
 				Capacity: 64 << 30,
-				Model:    diskModel,
+				Model:    cons.inst.Targets[0].Model,
 			}
 		}
 		inst := &layout.Instance{Objects: p.objs, Targets: targets, Workloads: p.set}
@@ -92,38 +89,6 @@ func Timing(cfg *Config) ([]TimingRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// fittedOLAP863 produces the advisor instance for OLAP8-63 on four disks.
-func fittedOLAP863(cfg *Config) (*layout.Instance, error) {
-	w := cfg.trimOLAP(benchdb.OLAP863())
-	sys := fourDisks(w.Catalog.Objects)
-	see := layout.SEE(len(sys.Objects), len(sys.Devices))
-	_, inst, err := cfg.traceAndFit(sys, see, w)
-	return inst, err
-}
-
-// fittedConsolidation produces the fitted 40-object consolidation workload.
-func fittedConsolidation(cfg *Config) (*rome.Set, []layout.Object, error) {
-	olap := cfg.trimOLAP(benchdb.OLAP121())
-	oltp := benchdb.OLTP()
-	objects := append(append([]layout.Object{}, olap.Catalog.Objects...), oltp.Catalog.Objects...)
-	sys := fourDisks(objects)
-	see := layout.SEE(len(objects), len(sys.Devices))
-	// Whole-trace rates: the OLTP side runs continuously, so unlike the
-	// pure-OLAP studies there is no burst structure to recover, and
-	// active-window rates would overweight the OLAP phases against the
-	// steady transaction load.
-	fitter := rubicon.NewFitter(names(sys), rubicon.Options{})
-	if _, _, err := replay.RunConsolidated(sys, see, olap, oltp, consolidatedWarmup,
-		replay.Options{Seed: cfg.Seed, Tracer: fitter}); err != nil {
-		return nil, nil, err
-	}
-	set, err := fitter.Fit()
-	if err != nil {
-		return nil, nil, err
-	}
-	return set, objects, nil
 }
 
 // replicateObjects mirrors rome.Set.Replicate's naming for object lists.

@@ -207,7 +207,7 @@ func TestCrashAtEveryJournalRecord(t *testing.T) {
 			var final *ExecuteResult
 			crashes := 0
 			for iter := 0; iter < 200; iter++ {
-				durable := append([]byte(nil), TruncateTorn(journal)...)
+				durable := append([]byte(nil), wal.TruncateTorn(journal)...)
 				buf := bytes.NewBuffer(append([]byte(nil), durable...))
 				w := &crashWriter{buf: buf, remaining: 1, torn: torn}
 				res, err := Execute(sys, from, to, nil, replay.Options{Seed: 1}, Options{
@@ -227,7 +227,7 @@ func TestCrashAtEveryJournalRecord(t *testing.T) {
 				}
 				// The surviving journal must recover to a consistent,
 				// capacity-respecting intermediate layout.
-				live := TruncateTorn(journal)
+				live := wal.TruncateTorn(journal)
 				if len(live) == 0 {
 					continue // crashed before the plan record became durable
 				}
@@ -783,7 +783,7 @@ func TestCrashBetweenRollbackAndAbortCompletesOnResume(t *testing.T) {
 			Scratch: fixtureScratch(),
 			Journal: w,
 		})
-		durable := TruncateTorn(buf.Bytes())
+		durable := wal.TruncateTorn(buf.Bytes())
 		records, err := DecodeJournal(durable)
 		if err != nil {
 			t.Fatalf("budget %d: surviving journal corrupt: %v", budget, err)

@@ -6,6 +6,7 @@ import (
 	"dblayout/internal/benchdb"
 	"dblayout/internal/layout"
 	"dblayout/internal/replay"
+	"dblayout/internal/wal"
 )
 
 // ExecuteResult bundles the migration outcome with the replay run it was
@@ -57,7 +58,7 @@ func Execute(sys *replay.System, current, target *layout.Layout, w *benchdb.OLAP
 		}, nil
 	}
 
-	if records, derr := DecodeJournal(TruncateTorn(opt.Resume)); derr != nil {
+	if records, derr := DecodeJournal(wal.TruncateTorn(opt.Resume)); derr != nil {
 		return nil, derr
 	} else if len(records) > 0 {
 		ck, err := Recover(records)

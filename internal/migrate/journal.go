@@ -161,14 +161,6 @@ func DecodeJournal(data []byte) ([]Record, error) {
 	return out, nil
 }
 
-// TruncateTorn returns the journal prefix ending at the last newline — the
-// durable records — discarding a torn final line left by a crash mid-write.
-// Resuming callers truncate the journal file likewise before appending, so
-// new records are never glued onto a torn line.
-func TruncateTorn(data []byte) []byte {
-	return wal.TruncateTorn(data)
-}
-
 // DecodeRecordBody parses one CRC-validated frame body into a migration
 // Record, rejecting unknown fields and unknown record types. Journals that
 // interleave migration records with their own (internal/control) route frames

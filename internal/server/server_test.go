@@ -493,7 +493,7 @@ func TestDaemonRestartResumesMigrationExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := control.Recover(control.TruncateTorn(data))
+	ck, err := control.Recover(wal.TruncateTorn(data))
 	if err != nil {
 		t.Fatalf("final journal does not recover: %v", err)
 	}
@@ -504,7 +504,7 @@ func TestDaemonRestartResumesMigrationExactlyOnce(t *testing.T) {
 	// daemon lifetimes each step journals a progress mark at every
 	// checkpoint_bytes boundary exactly once, so the resumed part continues
 	// the requested spacing instead of falling back to the default.
-	frames, err := wal.Frames(control.TruncateTorn(data))
+	frames, err := wal.Frames(wal.TruncateTorn(data))
 	if err != nil {
 		t.Fatal(err)
 	}
