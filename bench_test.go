@@ -287,7 +287,7 @@ func BenchmarkAblation_Regularization(b *testing.B) {
 }
 
 // BenchmarkCalibration measures the cost of building one device cost model
-// with the full calibration grid.
+// on the fast calibration grid; run it with -benchmem for its allocations.
 func BenchmarkCalibration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		costmodel.Calibrate("disk15k", func(e *storage.Engine) storage.Device {

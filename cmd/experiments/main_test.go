@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -78,5 +79,38 @@ func TestRunOneStudy(t *testing.T) {
 	if !strings.HasPrefix(stdout, head) || strings.Count(stdout, "===") != 2 ||
 		!strings.Contains(stdout, "\n(chaos completed in ") {
 		t.Errorf("stdout is not the chaos section alone:\n%s", stdout)
+	}
+}
+
+// TestStudiesObserveEveryAdvise runs the two studies that build their own
+// advisors with -trace-out and -metrics-out: each writes solver trace lines
+// and both whole-advise effort counters, as the studies that advise through
+// the shared helper do.
+func TestStudiesObserveEveryAdvise(t *testing.T) {
+	if testing.Short() {
+		t.Skip("calibrates and replays OLAP1-63")
+	}
+	counter := regexp.MustCompile(`(?m)^solver_(iters|evals)_total [1-9]`)
+	for _, study := range []string{"ablation", "fleet"} {
+		dir := t.TempDir()
+		trace, metrics := filepath.Join(dir, "solver.jsonl"), filepath.Join(dir, "metrics.prom")
+		_, stderr, code := runMain(t, "-run", study, "-quick", "-trace-out", trace, "-metrics-out", metrics)
+		if code != 0 {
+			t.Fatalf("-run %s: exit %d, stderr %q", study, code, stderr)
+		}
+		lines, err := os.ReadFile(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prom, err := os.ReadFile(metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := bytes.Count(lines, []byte("\n")); n == 0 {
+			t.Errorf("-run %s wrote no solver trace lines", study)
+		}
+		if got := counter.FindAll(prom, -1); len(got) != 2 {
+			t.Errorf("-run %s: metrics carry %d of the two positive effort counters:\n%s", study, len(got), prom)
+		}
 	}
 }

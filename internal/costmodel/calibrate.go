@@ -2,7 +2,9 @@ package costmodel
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"dblayout/internal/seed"
 	"dblayout/internal/storage"
@@ -10,7 +12,10 @@ import (
 
 // TargetFactory constructs a fresh instance of the target type being
 // calibrated, attached to the given engine. Each calibration cell runs
-// against a fresh device so cells are independent.
+// against a fresh device so cells are independent. Calibrate measures cells
+// in parallel, so a factory is called from several goroutines at once and
+// must build an independent device on each call, sharing nothing mutable
+// with the devices of other calls.
 type TargetFactory func(e *storage.Engine) storage.Device
 
 // Grid describes the calibration sweep: the controlled request sizes, run
@@ -73,15 +78,72 @@ func (g Grid) withDefaults() Grid {
 // Calibrate builds a complete cost model for the target type by measuring
 // per-request service costs under every grid cell, exactly as the paper's
 // Sec. 5.2.2 describes for physical devices.
+//
+// The read and write tables' cells are measured over runtime.GOMAXPROCS(0)
+// goroutines. Each cell runs its own engine and device from its own derived
+// seed, and the curves are assembled in grid order afterwards, so the model
+// is the same at any worker count. A panic in a cell is re-raised on the
+// caller.
 func Calibrate(name string, factory TargetFactory, grid Grid) *Model {
 	grid = grid.withDefaults()
-	m := &Model{Target: name}
-	m.Read = calibrateTable(factory, grid, false)
-	m.Write = calibrateTable(factory, grid, true)
-	return m
+	perTable := len(grid.Sizes) * len(grid.RunCounts) * len(grid.Competitors)
+	cells := make([]cellResult, 2*perTable)
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		panicMu  sync.Mutex
+		panicked any
+	)
+	work := func() {
+		defer wg.Done()
+		defer func() {
+			if p := recover(); p != nil {
+				panicMu.Lock()
+				if panicked == nil {
+					panicked = p
+				}
+				panicMu.Unlock()
+				next.Store(int64(len(cells))) // stop the other workers
+			}
+		}()
+		for {
+			k := int(next.Add(1) - 1)
+			if k >= len(cells) {
+				return
+			}
+			// Cell k is (table, size, run count, competitors) in
+			// row-major order, the read table first.
+			c := k % perTable
+			ci := c % len(grid.Competitors)
+			ri := c / len(grid.Competitors) % len(grid.RunCounts)
+			si := c / len(grid.Competitors) / len(grid.RunCounts)
+			r := &cells[k]
+			r.chi, r.cost = calibrateCell(factory, grid, grid.Sizes[si], grid.RunCounts[ri], grid.Competitors[ci], k >= perTable)
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(cells))
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go work()
+	}
+	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
+	return &Model{
+		Target: name,
+		Read:   assembleTable(grid, cells[:perTable]),
+		Write:  assembleTable(grid, cells[perTable:]),
+	}
 }
 
-func calibrateTable(factory TargetFactory, grid Grid, write bool) Table {
+// cellResult is one calibration cell's measured contention factor and mean
+// per-request cost.
+type cellResult struct{ chi, cost float64 }
+
+// assembleTable builds one direction's table from its cells, given in
+// row-major (size, run count, competitors) order.
+func assembleTable(grid Grid, cells []cellResult) Table {
 	t := Table{}
 	for _, s := range grid.Sizes {
 		t.Sizes = append(t.Sizes, float64(s))
@@ -90,20 +152,21 @@ func calibrateTable(factory TargetFactory, grid Grid, write bool) Table {
 		t.RunCounts = append(t.RunCounts, float64(rc))
 	}
 	t.Curves = make([][]Curve, len(grid.Sizes))
-	for si, size := range grid.Sizes {
+	for si := range grid.Sizes {
 		t.Curves[si] = make([]Curve, len(grid.RunCounts))
-		for ri, run := range grid.RunCounts {
+		for ri := range grid.RunCounts {
 			curve := Curve{}
-			for _, comp := range grid.Competitors {
-				chi, cost := calibrateCell(factory, grid, size, run, comp, write)
+			for _, c := range cells[:len(grid.Competitors)] {
+				chi := c.chi
 				// The measured contention axis must be strictly
 				// increasing for interpolation.
 				if n := len(curve.Contention); n > 0 && chi <= curve.Contention[n-1] {
 					chi = curve.Contention[n-1] + 1e-6
 				}
 				curve.Contention = append(curve.Contention, chi)
-				curve.Cost = append(curve.Cost, cost)
+				curve.Cost = append(curve.Cost, c.cost)
 			}
+			cells = cells[len(grid.Competitors):]
 			t.Curves[si][ri] = curve
 		}
 	}

@@ -3,6 +3,7 @@ package costmodel
 import (
 	"bytes"
 	"math"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -205,9 +206,9 @@ func TestLoadRejectsInvalid(t *testing.T) {
 
 func TestCacheMemoizes(t *testing.T) {
 	c := NewCache()
-	calls := 0
+	var calls atomic.Int64 // calibration calls the factory from several goroutines
 	factory := func(e *storage.Engine) storage.Device {
-		calls++
+		calls.Add(1)
 		return diskFactory(e)
 	}
 	g := Grid{Sizes: []int64{8192}, RunCounts: []int64{1}, Competitors: []int{0}, RequestsPerCell: 100}
@@ -216,12 +217,12 @@ func TestCacheMemoizes(t *testing.T) {
 	if m1 != m2 {
 		t.Error("cache returned different models")
 	}
-	if calls == 0 {
+	if calls.Load() == 0 {
 		t.Error("factory never called")
 	}
-	first := calls
+	first := calls.Load()
 	c.Get("d", factory, g)
-	if calls != first {
+	if calls.Load() != first {
 		t.Error("cache recalibrated")
 	}
 }

@@ -59,7 +59,8 @@ func Ablation(cfg *Config) ([]AblationRow, error) {
 		Replayed:  s.seeElapsed,
 	}}
 	for _, v := range variants {
-		v.opt.NLP.Seed, v.opt.NLP.Workers = cfg.Seed, cfg.Workers
+		v.opt.NLP.Seed, v.opt.NLP.Workers, v.opt.NLP.Trace = cfg.Seed, cfg.Workers, cfg.Trace
+		v.opt.Logger = cfg.Logger
 		adv, err := core.New(s.inst, v.opt)
 		if err != nil {
 			return nil, err
@@ -68,6 +69,7 @@ func Ablation(cfg *Config) ([]AblationRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation %q: %w", v.name, err)
 		}
+		cfg.countEffort(rec)
 		row := AblationRow{Variant: v.name, Predicted: rec.FinalObjective}
 		if row.Replayed, err = s.elapsed(cfg, rec.Final); err != nil {
 			return nil, err

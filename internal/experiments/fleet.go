@@ -64,13 +64,15 @@ func Fleet(cfg *Config) ([]FleetRow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fleet %s: %w", name, err)
 	}
+	elapsed := time.Since(start)
+	cfg.countEffort(rec)
 	return []FleetRow{{
 		Solver:  name,
 		N:       n,
 		M:       m,
 		Initial: rec.InitialObjective,
 		Final:   rec.FinalObjective,
-		Elapsed: time.Since(start),
+		Elapsed: elapsed,
 		Iters:   rec.SolverIters,
 		Evals:   rec.SolverEvals,
 	}}, nil

@@ -239,11 +239,19 @@ func problem(inst *layout.Instance) dblayout.Problem {
 // final layout.
 func (c *Config) advise(inst *layout.Instance) (*core.Recommendation, error) {
 	rec, err := dblayout.Recommend(problem(inst), c.options())
-	if err == nil && c.Metrics != nil {
+	if err == nil {
+		c.countEffort(rec)
+	}
+	return rec, err
+}
+
+// countEffort adds an advise's whole solver effort to the Config's metrics.
+// Every study that advises calls it once per advise.
+func (c *Config) countEffort(rec *core.Recommendation) {
+	if c.Metrics != nil {
 		c.Metrics.Counter("solver_iters_total").Add(int64(rec.SolverIters))
 		c.Metrics.Counter("solver_evals_total").Add(int64(rec.SolverEvals))
 	}
-	return rec, err
 }
 
 // speedup formats a paper-style speedup factor.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dblayout/internal/layout"
-	"dblayout/internal/storage"
 )
 
 // BackgroundIO gives a background driver (the online-migration engine in
@@ -52,17 +51,7 @@ func (b *BackgroundIO) Submit(dev, obj int, stream uint64, off, size int64, writ
 	if dev < 0 || dev >= len(b.r.devices) {
 		panic(fmt.Sprintf("replay: background submit to device %d of %d", dev, len(b.r.devices)))
 	}
-	req := &storage.Request{
-		Object: obj,
-		Stream: stream,
-		Offset: off,
-		Size:   size,
-		Write:  write,
-	}
-	if done != nil {
-		req.Done = func(q *storage.Request) { done(q.Failed) }
-	}
-	b.r.submit(b.r.devices[dev], req)
+	b.r.submit(b.r.devices[dev], obj, stream, off, size, write, done)
 }
 
 // startBackground invokes the configured background driver, if any.

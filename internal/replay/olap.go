@@ -106,6 +106,8 @@ type runner struct {
 	// windows is the per-window utilization observer (nil unless
 	// Options.Windows was set).
 	windows *windowObserver
+	// free lists the requests no longer in flight, for submit to reuse.
+	free *inflight
 }
 
 func newRunner(sys *System, l *layout.Layout, opt Options) (*runner, *storage.Trace, error) {
@@ -165,20 +167,44 @@ func newRunner(sys *System, l *layout.Layout, opt Options) (*runner, *storage.Tr
 	return r, tr, nil
 }
 
-// submit routes a request through the engine, recording its completion
-// latency in the object's histogram.
-func (r *runner) submit(dev storage.Device, req *storage.Request) {
-	if req.Object >= 0 && req.Object < len(r.latency) {
-		h := r.latency[req.Object]
-		inner := req.Done
-		req.Done = func(q *storage.Request) {
-			h.Observe(q.Completed() - q.Issued())
-			if inner != nil {
-				inner(q)
-			}
-		}
+// inflight is one request of the run in flight: the storage request plus the
+// continuation its completion runs. Entries come from the runner's free list
+// and bind their completion once, so a request allocates nothing.
+type inflight struct {
+	req  storage.Request
+	r    *runner
+	then func(failed bool)
+	done func(*storage.Request) // q.complete, bound once
+	next *inflight              // free-list link
+}
+
+// submit routes a request through the engine. Its completion records the
+// latency in the object's histogram (for a valid object index), returns the
+// request to the free list, then calls then, if non-nil, with whether the
+// request failed.
+func (r *runner) submit(dev storage.Device, obj int, stream uint64, off, size int64, write bool, then func(failed bool)) {
+	q := r.free
+	if q != nil {
+		r.free = q.next
+	} else {
+		q = &inflight{r: r}
+		q.done = q.complete
 	}
-	r.eng.Submit(dev, req)
+	q.req = storage.Request{Object: obj, Stream: stream, Offset: off, Size: size, Write: write, Done: q.done}
+	q.then = then
+	r.eng.Submit(dev, &q.req)
+}
+
+func (q *inflight) complete(req *storage.Request) {
+	r := q.r
+	if req.Object >= 0 && req.Object < len(r.latency) {
+		r.latency[req.Object].Observe(req.Completed() - req.Issued())
+	}
+	then, failed := q.then, req.Failed
+	q.then, q.next, r.free = nil, r.free, q
+	if then != nil {
+		then(failed)
+	}
 }
 
 // observe snapshots the run's instrumentation at the end of a replay: the
@@ -255,6 +281,11 @@ type stream struct {
 	exhausted   bool
 	paced       bool
 	tokens      int
+
+	// Callbacks bound once, so a running stream allocates nothing.
+	done    func(failed bool) // st.complete
+	refill  func()            // st.fill
+	produce func()            // st.tick
 }
 
 // startStream validates and launches a stream; onDone fires at exhaustion.
@@ -306,17 +337,18 @@ func (r *runner) startStream(s benchdb.Stream, onDone func()) error {
 	}
 	st := &stream{r: r, obj: obj, id: r.nextStreamID(), pattern: p,
 		think: s.ThinkPerReq, depth: depth, onDone: onDone}
+	st.done, st.refill, st.produce = st.complete, st.fill, st.tick
 	if depth > 1 && st.think > 0 {
 		st.paced = true
-		st.produce()
+		st.tick()
 	} else {
 		st.fill()
 	}
 	return nil
 }
 
-// produce grants the paced stream one issue token per pacing interval.
-func (st *stream) produce() {
+// tick grants the paced stream one issue token per pacing interval.
+func (st *stream) tick() {
 	if st.exhausted {
 		return
 	}
@@ -324,6 +356,17 @@ func (st *stream) produce() {
 	st.fill()
 	if !st.exhausted {
 		st.r.eng.After(st.think, st.produce)
+	}
+}
+
+// complete retires one of the stream's requests and tops the window up,
+// now or after the think time.
+func (st *stream) complete(bool) {
+	st.outstanding--
+	if !st.paced && st.think > 0 {
+		st.r.eng.After(st.think, st.refill)
+	} else {
+		st.fill()
 	}
 }
 
@@ -347,22 +390,7 @@ func (st *stream) fill() {
 			size = remain // defensive: never cross a stripe boundary
 		}
 		st.outstanding++
-		req := &storage.Request{
-			Object: st.obj,
-			Stream: st.id,
-			Offset: phys,
-			Size:   size,
-			Write:  write,
-			Done: func(*storage.Request) {
-				st.outstanding--
-				if !st.paced && st.think > 0 {
-					st.r.eng.After(st.think, st.fill)
-				} else {
-					st.fill()
-				}
-			},
-		}
-		st.r.submit(dev, req)
+		st.r.submit(dev, st.obj, st.id, phys, size, write, st.done)
 	}
 	if st.exhausted && st.outstanding == 0 && st.onDone != nil {
 		done := st.onDone

@@ -91,78 +91,90 @@ type pageOp struct {
 	size  int64
 }
 
-// startTerminal runs one closed-loop terminal with no think time.
-func (d *oltpDriver) startTerminal(id int) {
-	streamID := d.r.nextStreamID()
-	logStream := d.r.nextStreamID()
-
-	var runTxn func()
-	runTxn = func() {
-		if d.stopped() {
-			return
-		}
-		txn := d.pick()
-		ops := d.buildOps(txn)
-		i := 0
-		var step func()
-		step = func() {
-			if i >= len(ops) {
-				finish := func() {
-					if d.r.eng.Now() >= d.warmup {
-						d.completed[txn.Name]++
-						if txn.Name == "NewOrder" {
-							d.newOrders++
-						}
-					}
-					runTxn()
-				}
-				if txn.CPUSeconds > 0 {
-					d.r.eng.After(txn.CPUSeconds, finish)
-				} else {
-					finish()
-				}
-				return
-			}
-			op := ops[i]
-			i++
-			var off int64
-			sid := streamID
-			if op.log {
-				// The log is an append-only sequential stream
-				// shared by the whole system.
-				off = d.logOff % (d.logSize / op.size * op.size)
-				d.logOff = off + op.size
-				sid = logStream
-			} else {
-				extent := d.r.sys.Objects[op.obj].Size / op.size
-				if extent < 1 {
-					extent = 1
-				}
-				off = d.rng.Int63n(extent) * op.size
-			}
-			dev, phys, remain := d.r.m.locate(op.obj, off)
-			size := op.size
-			if size > remain {
-				size = remain
-			}
-			d.r.submit(dev, &storage.Request{
-				Object: op.obj,
-				Stream: sid,
-				Offset: phys,
-				Size:   size,
-				Write:  op.write,
-				Done:   func(*storage.Request) { step() },
-			})
-		}
-		step()
-	}
-	_ = id
-	runTxn()
+// terminal is one closed-loop OLTP terminal with no think time. Its
+// callbacks are bound once and its page list is reused, so a running
+// terminal allocates nothing per page or transaction.
+type terminal struct {
+	d         *oltpDriver
+	stream    uint64
+	logStream uint64
+	txn       *benchdb.Transaction
+	ops       []pageOp // the transaction's dependent page accesses
+	next      int      // index into ops of the next access to issue
+	pageDone  func(failed bool)
+	finishTxn func() // t.finish
 }
 
-// buildOps expands a transaction into its dependent page accesses.
-func (d *oltpDriver) buildOps(txn *benchdb.Transaction) []pageOp {
-	var ops []pageOp
+// startTerminal starts one terminal on its first transaction.
+func (d *oltpDriver) startTerminal() {
+	t := &terminal{d: d, stream: d.r.nextStreamID(), logStream: d.r.nextStreamID()}
+	t.pageDone = func(bool) { t.step() }
+	t.finishTxn = t.finish
+	t.run()
+}
+
+// run starts the terminal's next transaction unless the driver has stopped.
+func (t *terminal) run() {
+	if t.d.stopped() {
+		return
+	}
+	t.txn = t.d.pick()
+	t.ops = t.d.buildOps(t.ops[:0], t.txn)
+	t.next = 0
+	t.step()
+}
+
+// step issues the transaction's next page access, or finishes the
+// transaction after its CPU time once every access has completed.
+func (t *terminal) step() {
+	d := t.d
+	if t.next >= len(t.ops) {
+		if t.txn.CPUSeconds > 0 {
+			d.r.eng.After(t.txn.CPUSeconds, t.finishTxn)
+		} else {
+			t.finish()
+		}
+		return
+	}
+	op := t.ops[t.next]
+	t.next++
+	var off int64
+	sid := t.stream
+	if op.log {
+		// The log is an append-only sequential stream shared by the
+		// whole system.
+		off = d.logOff % (d.logSize / op.size * op.size)
+		d.logOff = off + op.size
+		sid = t.logStream
+	} else {
+		extent := d.r.sys.Objects[op.obj].Size / op.size
+		if extent < 1 {
+			extent = 1
+		}
+		off = d.rng.Int63n(extent) * op.size
+	}
+	dev, phys, remain := d.r.m.locate(op.obj, off)
+	size := op.size
+	if size > remain {
+		size = remain
+	}
+	d.r.submit(dev, op.obj, sid, phys, size, op.write, t.pageDone)
+}
+
+// finish counts the completed transaction and starts the next one.
+func (t *terminal) finish() {
+	d := t.d
+	if d.r.eng.Now() >= d.warmup {
+		d.completed[t.txn.Name]++
+		if t.txn.Name == "NewOrder" {
+			d.newOrders++
+		}
+	}
+	t.run()
+}
+
+// buildOps appends a transaction's dependent page accesses to ops.
+func (d *oltpDriver) buildOps(ops []pageOp, txn *benchdb.Transaction) []pageOp {
 	add := func(accs []benchdb.TxnAccess, write bool) {
 		for _, a := range accs {
 			obj, err := d.r.resolve(a.Object)
@@ -211,7 +223,7 @@ func RunOLTP(sys *System, l *layout.Layout, w *benchdb.OLTPWorkload, duration, w
 		return nil, err
 	}
 	for t := 0; t < w.Terminals; t++ {
-		d.startTerminal(t)
+		d.startTerminal()
 	}
 	end := r.eng.Run(duration)
 	res := d.result(end)
@@ -279,7 +291,7 @@ func RunConsolidated(sys *System, l *layout.Layout, olap *benchdb.OLAPWorkload, 
 	}
 
 	for t := 0; t < oltp.Terminals; t++ {
-		d.startTerminal(t)
+		d.startTerminal()
 	}
 
 	r.eng.Run(opt.MaxSimTime)

@@ -61,8 +61,9 @@ type Options struct {
 	// request's budget_ms is clamped to it. Default 30s.
 	SolveBudget time.Duration
 	// FastCalibration selects the reduced calibration grid for built-in
-	// device models (recommended for a daemon; full-grid calibration
-	// takes minutes per device type).
+	// device models. On a 2-vCPU host a full-grid calibration takes about
+	// 0.15 s per device type and occupies every CPU meanwhile; the fast
+	// grid takes about 2 ms.
 	FastCalibration bool
 	// SimBytesPerSec is the simulated device service rate migrations run
 	// against. Default 256 MiB/s.

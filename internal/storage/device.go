@@ -72,18 +72,31 @@ func (s DeviceStats) MeanQueueDepth(elapsed float64) float64 {
 // queueDevice implements the single-server queueing skeleton shared by the
 // disk and SSD models. The embedding model supplies the service-time
 // function; the skeleton handles FIFO queueing, busy bookkeeping, and
-// completion callbacks.
+// completion callbacks. It allocates nothing per request: the request in
+// service sits in one slot, its completion event is a callback bound once at
+// construction, and the wait queue reuses its backing array.
 type queueDevice struct {
 	engine *Engine
 	name   string
 	cap    int64
 
+	// queue[head:] are the waiting requests in arrival order. Service
+	// takes from head, so the array is reused rather than resliced away.
 	queue     []*Request
-	busy      bool
+	head      int
+	cur       *Request // the request in service; nil when idle
+	finishCur func()   // d.finish, bound once so dispatch allocates nothing
 	stats     DeviceStats
 	depthMark float64 // last time the depth integral was advanced
 	service   func(r *Request, queueDepth int) float64
 	faults    *FaultSchedule
+}
+
+// attach binds the skeleton to the engine; the embedding model registers
+// itself afterwards.
+func (d *queueDevice) attach(e *Engine, name string, capacity int64, service func(r *Request, queueDepth int) float64) {
+	*d = queueDevice{engine: e, name: name, cap: capacity, service: service}
+	d.finishCur = d.finish
 }
 
 // InjectFaults installs a deterministic fault schedule on the device. Disk
@@ -97,11 +110,15 @@ func (d *queueDevice) InjectFaults(f FaultSchedule) error {
 	return nil
 }
 
+// waiting returns the number of requests waiting for service (excluding the
+// one in service).
+func (d *queueDevice) waiting() int { return len(d.queue) - d.head }
+
 // noteDepth advances the queue-depth time integral up to now; call before
 // any change to the queue length.
 func (d *queueDevice) noteDepth() {
 	now := d.engine.Now()
-	d.stats.DepthIntegral += float64(len(d.queue)) * (now - d.depthMark)
+	d.stats.DepthIntegral += float64(d.waiting()) * (now - d.depthMark)
 	d.depthMark = now
 }
 
@@ -110,19 +127,27 @@ func (d *queueDevice) Capacity() int64 { return d.cap }
 
 func (d *queueDevice) Stats() DeviceStats {
 	s := d.stats
-	s.QueueDepth = len(d.queue)
+	s.QueueDepth = d.waiting()
 	return s
 }
 
 func (d *queueDevice) Submit(r *Request) {
 	d.noteDepth()
+	if len(d.queue) == cap(d.queue) && d.head >= len(d.queue)/2 {
+		// At least half the array is served slots: slide the waiting
+		// requests to the front instead of growing it, so each request
+		// moves a bounded number of times on average.
+		n := copy(d.queue, d.queue[d.head:])
+		clear(d.queue[n:])
+		d.queue, d.head = d.queue[:n], 0
+	}
 	d.queue = append(d.queue, r)
-	if !d.busy {
+	if d.cur == nil {
 		d.dispatch()
 	}
 	// Measured after the idle-dispatch so it matches QueueDepth's
 	// "waiting, excluding in service" semantics.
-	if n := len(d.queue); n > d.stats.MaxQueueDepth {
+	if n := d.waiting(); n > d.stats.MaxQueueDepth {
 		d.stats.MaxQueueDepth = n
 	}
 }
@@ -134,9 +159,12 @@ func (d *queueDevice) Submit(r *Request) {
 // invariant.
 func (d *queueDevice) dispatch() {
 	d.noteDepth()
-	r := d.queue[0]
-	d.queue = d.queue[1:]
-	d.busy = true
+	r := d.queue[d.head]
+	d.queue[d.head] = nil
+	if d.head++; d.head == len(d.queue) {
+		d.queue, d.head = d.queue[:0], 0
+	}
+	d.cur = r
 	now := d.engine.Now()
 	var st float64
 	if d.faults.failedAt(now) {
@@ -144,7 +172,7 @@ func (d *queueDevice) dispatch() {
 		d.stats.FailedRequests++
 		st = failLatency
 	} else {
-		st = d.service(r, len(d.queue))
+		st = d.service(r, d.waiting())
 		if penalized := d.faults.penalize(now, st); penalized != st {
 			d.stats.FaultDelay += penalized - st
 			st = penalized
@@ -153,10 +181,14 @@ func (d *queueDevice) dispatch() {
 	r.service = st
 	d.stats.BusyTime += st
 	d.engine.noteService(st)
-	d.engine.After(st, func() { d.finish(r) })
+	d.engine.After(st, d.finishCur)
 }
 
-func (d *queueDevice) finish(r *Request) {
+// finish completes the request in service, starts the next one, and only
+// then calls the finished request's Done, so Done may resubmit it.
+func (d *queueDevice) finish() {
+	r := d.cur
+	d.cur = nil
 	d.stats.Requests++
 	if !r.Failed {
 		d.stats.Bytes += r.Size
@@ -167,8 +199,7 @@ func (d *queueDevice) finish(r *Request) {
 		}
 	}
 	r.complete = d.engine.Now()
-	d.busy = false
-	if len(d.queue) > 0 {
+	if d.waiting() > 0 {
 		d.dispatch()
 	}
 	if r.Done != nil {

@@ -119,7 +119,7 @@ func NewDisk(e *Engine, name string, cfg DiskConfig) *Disk {
 		panic(fmt.Sprintf("storage: disk %q: non-positive transfer rate", name))
 	}
 	d := &Disk{cfg: cfg}
-	d.queueDevice = queueDevice{engine: e, name: name, cap: cfg.CapacityBytes, service: d.serviceTime}
+	d.queueDevice.attach(e, name, cfg.CapacityBytes, d.serviceTime)
 	e.register(d)
 	return d
 }
@@ -175,10 +175,13 @@ func (d *Disk) touchSegment(id uint64) bool {
 	}
 	if len(d.segments) >= n {
 		// Recycling the LRU segment: its stream loses the fast path.
-		d.segments = d.segments[:n-1]
+		d.segments = d.segments[:n]
 		d.stats.RAEvictions++
+	} else {
+		d.segments = append(d.segments, 0)
 	}
-	d.segments = append([]uint64{id}, d.segments...)
+	copy(d.segments[1:], d.segments)
+	d.segments[0] = id
 	return false
 }
 

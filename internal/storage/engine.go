@@ -30,6 +30,11 @@ import (
 // Stream identifies the logical sequential stream the request belongs to;
 // devices use it to detect sequential continuation. Object identifies the
 // database object for trace purposes.
+//
+// A device calls Done last and never touches r after it, so the submitter
+// may reuse r, even resubmit it, from inside Done. A reused request must be
+// reset to its zero value before it is filled in again: devices accumulate
+// into its service time and set Failed.
 type Request struct {
 	Object int              // database object index (trace annotation)
 	Stream uint64           // logical stream identifier (sequentiality tracking)

@@ -355,9 +355,9 @@ func TestDeterminism(t *testing.T) {
 			Pattern: &RunPattern{Rng: newTestRand(42), Extent: 1 << 30, Size: 8192, RunLen: 8, Count: 500},
 			OnDone:  func(at float64) { doneAt = at }}
 		src.Start()
-		comp := &OpenSource{Engine: e, Device: d, Stream: 2,
+		comp := &ClosedSource{Engine: e, Device: d, Stream: 2,
 			Pattern: &RunPattern{Rng: newTestRand(43), Extent: 1 << 30, Size: 8192, RunLen: 1, Count: -1},
-			Rate:    50, Rng: newTestRand(44)}
+			Think:   0.02}
 		comp.Start()
 		e.Run(300)
 		return doneAt

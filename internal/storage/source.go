@@ -77,7 +77,9 @@ func ScanPattern(base, extent, size int64, write bool) *RunPattern {
 
 // ClosedSource drives an AccessPattern against a device in a closed loop:
 // the next request is issued Think seconds after the previous one completes.
-// This models a synchronous I/O path such as a database scan.
+// This models a synchronous I/O path such as a database scan. Its one
+// request in flight is held by value and reused, so a source allocates
+// nothing per request; a ClosedSource must not be copied once started.
 type ClosedSource struct {
 	Engine  *Engine
 	Device  Device
@@ -87,15 +89,22 @@ type ClosedSource struct {
 	Think   float64          // delay between completion and next issue
 	OnDone  func(at float64) // invoked when the pattern is exhausted
 	// OnComplete, when non-nil, observes every completed request (used by
-	// the cost-model calibration harness to measure service times).
+	// the cost-model calibration harness to measure service times). The
+	// request is the source's own and is reused for the next issue, so
+	// read what is needed during the call.
 	OnComplete func(r *Request)
 
-	inflight bool
+	req  Request
+	done func(*Request) // s.complete, bound once by Start
+	next func()         // s.issueNext, bound once by Start
 }
 
 // Start issues the stream's first request. It is a no-op on an exhausted
 // pattern (OnDone fires immediately).
-func (s *ClosedSource) Start() { s.issueNext() }
+func (s *ClosedSource) Start() {
+	s.done, s.next = s.complete, s.issueNext
+	s.issueNext()
+}
 
 func (s *ClosedSource) issueNext() {
 	off, size, write, ok := s.Pattern.Next()
@@ -105,85 +114,26 @@ func (s *ClosedSource) issueNext() {
 		}
 		return
 	}
-	s.inflight = true
-	req := &Request{
+	s.req = Request{
 		Object: s.Object,
 		Stream: s.Stream,
 		Offset: off,
 		Size:   size,
 		Write:  write,
-		Done: func(r *Request) {
-			s.inflight = false
-			if s.OnComplete != nil {
-				s.OnComplete(r)
-			}
-			if s.Think > 0 {
-				s.Engine.After(s.Think, s.issueNext)
-			} else {
-				s.issueNext()
-			}
-		},
+		Done:   s.done,
 	}
-	s.Engine.Submit(s.Device, req)
+	s.Engine.Submit(s.Device, &s.req)
 }
 
-// OpenSource drives an AccessPattern against a device in an open loop:
-// requests arrive as a Poisson process at the configured rate regardless of
-// completions. It models background load with a known request rate, as the
-// calibration harness requires.
-type OpenSource struct {
-	Engine  *Engine
-	Device  Device
-	Object  int
-	Stream  uint64
-	Pattern AccessPattern
-	Rate    float64 // arrivals per second (> 0)
-	Rng     *rand.Rand
-	OnDone  func(at float64)
-
-	outstanding int64
-	exhausted   bool
-}
-
-// Start schedules the first arrival.
-func (s *OpenSource) Start() {
-	if s.Rate <= 0 {
-		panic("storage: OpenSource with non-positive rate")
+// complete observes the finished request and issues the next one, now or
+// after the think time.
+func (s *ClosedSource) complete(r *Request) {
+	if s.OnComplete != nil {
+		s.OnComplete(r)
 	}
-	s.scheduleArrival()
-}
-
-func (s *OpenSource) scheduleArrival() {
-	delay := s.Rng.ExpFloat64() / s.Rate
-	s.Engine.After(delay, s.arrive)
-}
-
-func (s *OpenSource) arrive() {
-	off, size, write, ok := s.Pattern.Next()
-	if !ok {
-		s.exhausted = true
-		s.maybeDone()
-		return
-	}
-	s.outstanding++
-	req := &Request{
-		Object: s.Object,
-		Stream: s.Stream,
-		Offset: off,
-		Size:   size,
-		Write:  write,
-		Done: func(_ *Request) {
-			s.outstanding--
-			s.maybeDone()
-		},
-	}
-	s.Engine.Submit(s.Device, req)
-	s.scheduleArrival()
-}
-
-func (s *OpenSource) maybeDone() {
-	if s.exhausted && s.outstanding == 0 && s.OnDone != nil {
-		s.OnDone(s.Engine.Now())
-		s.OnDone = nil
+	if s.Think > 0 {
+		s.Engine.After(s.Think, s.next)
+	} else {
+		s.issueNext()
 	}
 }

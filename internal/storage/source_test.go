@@ -2,38 +2,6 @@ package storage
 
 import "testing"
 
-func TestOpenSourceCompletesPattern(t *testing.T) {
-	e := NewEngine()
-	d := NewDisk(e, "d", Disk15KConfig())
-	done := false
-	src := &OpenSource{
-		Engine:  e,
-		Device:  d,
-		Stream:  1,
-		Pattern: &RunPattern{Rng: newTestRand(1), Extent: 1 << 30, Size: 8192, RunLen: 1, Count: 50},
-		Rate:    200,
-		Rng:     newTestRand(2),
-		OnDone:  func(float64) { done = true },
-	}
-	src.Start()
-	e.Run(0)
-	if !done {
-		t.Fatal("open source never finished")
-	}
-	if got := d.Stats().Requests; got != 50 {
-		t.Fatalf("completed %d requests, want 50", got)
-	}
-}
-
-func TestOpenSourceRequiresRate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero-rate open source did not panic")
-		}
-	}()
-	(&OpenSource{Engine: NewEngine(), Rate: 0}).Start()
-}
-
 func TestClosedSourceThinkTime(t *testing.T) {
 	e := NewEngine()
 	d := NewSSD(e, "s", SSD32Config())

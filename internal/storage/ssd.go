@@ -38,7 +38,7 @@ type SSD struct {
 // NewSSD attaches a new SSD with the given configuration to the engine.
 func NewSSD(e *Engine, name string, cfg SSDConfig) *SSD {
 	s := &SSD{cfg: cfg}
-	s.queueDevice = queueDevice{engine: e, name: name, cap: cfg.CapacityBytes, service: s.serviceTime}
+	s.queueDevice.attach(e, name, cfg.CapacityBytes, s.serviceTime)
 	e.register(s)
 	return s
 }
